@@ -357,12 +357,11 @@ int run_json_report(const std::string& path) {
   const double pipeline_packed = engine_rate(sim::EngineKind::kPackedPipeline);
   bench::note("lazy decode-on-fetch:   " + std::to_string(lazy / 1e6) + " M steps/s");
   bench::note("pre-decoded dispatch:   " + std::to_string(predecoded / 1e6) + " M steps/s");
-  bench::note("plane-packed SWAR:      " + std::to_string(packed / 1e6) + " M steps/s");
+  bench::note("packed (superblock):    " + std::to_string(packed / 1e6) + " M steps/s");
   bench::note("superblock tier:        " + std::to_string(superblock / 1e6) + " M steps/s");
   bench::note("pipeline (cycles/s):    " + std::to_string(pipeline / 1e6) + " M steps/s");
   bench::note("packed pipeline:        " + std::to_string(pipeline_packed / 1e6) + " M steps/s");
   bench::note("packed / pre-decoded:   x" + std::to_string(packed / predecoded));
-  bench::note("superblock / packed:    x" + std::to_string(superblock / packed));
   bench::note("packed pipe / pipe:     x" + std::to_string(pipeline_packed / pipeline));
 
   bench::heading("rv32 engine steps/s — source Dhrystone (single stream)");
@@ -386,7 +385,6 @@ int run_json_report(const std::string& path) {
   bench::note("fleet (1 lane):         " + std::to_string(fleet_single / 1e6) + " M steps/s");
   bench::note("fleet (" + std::to_string(kFleetLanes) +
               " lanes, aggregate): " + std::to_string(fleet / 1e6) + " M steps/s");
-  bench::note("fleet / packed:         x" + std::to_string(packed > 0.0 ? fleet / packed : 0.0));
   bench::note("fleet / superblock:     x" +
               std::to_string(superblock > 0.0 ? fleet / superblock : 0.0));
   bench::note("cohort round trips:     " + std::to_string(cohort_jobs) + " jobs/s (" +
@@ -449,7 +447,6 @@ int run_json_report(const std::string& path) {
   json.add("pipeline_packed_cycles_per_sec", pipeline_packed);
   json.add("packed_vs_predecoded", predecoded > 0.0 ? packed / predecoded : 0.0);
   json.add("predecoded_vs_lazy", lazy > 0.0 ? predecoded / lazy : 0.0);
-  json.add("superblock_vs_packed", packed > 0.0 ? superblock / packed : 0.0);
   json.add("pipeline_packed_vs_pipeline", pipeline > 0.0 ? pipeline_packed / pipeline : 0.0);
   json.add("rv32_predecoded_steps_per_sec", rv32_predecoded);
   json.add("rv32_superblock_steps_per_sec", rv32_superblock);
@@ -462,7 +459,6 @@ int run_json_report(const std::string& path) {
   json.add("fleet_lanes", static_cast<double>(kFleetLanes));
   json.add("fleet_steps_per_sec", fleet);
   json.add("fleet_single_lane_steps_per_sec", fleet_single);
-  json.add("fleet_vs_packed", packed > 0.0 ? fleet / packed : 0.0);
   json.add("fleet_vs_superblock", superblock > 0.0 ? fleet / superblock : 0.0);
   json.add("cohort_jobs", static_cast<double>(kCohortJobs));
   json.add("cohort_jobs_per_sec", cohort_jobs);

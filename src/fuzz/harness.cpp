@@ -130,6 +130,21 @@ std::optional<std::string> diff_art9_functional(const Art9Outcome& got, const Ar
   return diff_streams(got.stream, want.stream);
 }
 
+/// Runs every instruction-at-a-time ART-9 kind (all but the lazy reference
+/// and the cycle-accurate kinds) at `budget` and compares each against
+/// the lazy reference with full parity.
+std::optional<std::string> check_art9_functional_kinds(
+    const std::shared_ptr<const sim::DecodedImage>& image, uint64_t budget) {
+  const Art9Outcome reference = run_art9(sim::EngineKind::kLazy, image, budget);
+  for (sim::EngineKind kind : sim::art9_engine_kinds()) {
+    if (kind == sim::EngineKind::kLazy || sim::is_cycle_accurate(kind)) continue;
+    if (auto d = diff_art9_functional(run_art9(kind, image, budget), reference)) {
+      return std::string(sim::engine_kind_name(kind)) + " vs lazy: " + *d;
+    }
+  }
+  return std::nullopt;
+}
+
 /// Architectural comparison for a pipeline outcome against the lazy
 /// reference at halt: TRF, TDM contents, normalized PC, retire count and
 /// stream (cycle accounting and TDM access counters are the pipeline's
@@ -214,13 +229,7 @@ std::optional<std::string> check_art9_case(ByteReader& in) {
       << options.max_length << "] budget=" << budget;
 
   // Functional kinds against the lazy reference at the randomized budget.
-  const Art9Outcome reference = run_art9(sim::EngineKind::kLazy, image, budget);
-  for (sim::EngineKind kind :
-       {sim::EngineKind::kFunctional, sim::EngineKind::kPacked, sim::EngineKind::kSuperblock}) {
-    if (auto d = diff_art9_functional(run_art9(kind, image, budget), reference)) {
-      return std::string(sim::engine_kind_name(kind)) + " vs lazy: " + *d + " (" + tag.str() + ")";
-    }
-  }
+  if (auto d = check_art9_functional_kinds(image, budget)) return *d + " (" + tag.str() + ")";
 
   // Pipeline kinds at halt (generated programs always halt).
   const Art9Outcome at_halt = run_art9(sim::EngineKind::kLazy, image, kCompletionBudget);
@@ -228,7 +237,8 @@ std::optional<std::string> check_art9_case(ByteReader& in) {
   if (at_halt.stats.halt != sim::HaltReason::kHalted) {
     return "generated program did not halt (" + tag.str() + ")";
   }
-  for (sim::EngineKind kind : {sim::EngineKind::kPipeline, sim::EngineKind::kPackedPipeline}) {
+  for (sim::EngineKind kind : sim::art9_engine_kinds()) {
+    if (!sim::is_cycle_accurate(kind)) continue;
     if (auto d = diff_art9_pipeline(run_art9(kind, image, kCompletionBudget), at_halt)) {
       return std::string(sim::engine_kind_name(kind)) + " vs lazy: " + *d + " (" + tag.str() + ")";
     }
@@ -474,13 +484,7 @@ std::optional<std::string> check_raw_case(ByteReader& in) {
   // Wild jumps land on uninitialised TIM rows: a *trap* is a legal
   // outcome, but it must be byte-identical across the functional kinds.
   const std::shared_ptr<const sim::DecodedImage> image = sim::decode(program);
-  const Art9Outcome reference = run_art9(sim::EngineKind::kLazy, image, budget);
-  for (sim::EngineKind kind :
-       {sim::EngineKind::kFunctional, sim::EngineKind::kPacked, sim::EngineKind::kSuperblock}) {
-    if (auto d = diff_art9_functional(run_art9(kind, image, budget), reference)) {
-      return std::string(sim::engine_kind_name(kind)) + " vs lazy: " + *d + " (" + tag.str() + ")";
-    }
-  }
+  if (auto d = check_art9_functional_kinds(image, budget)) return *d + " (" + tag.str() + ")";
   return std::nullopt;
 }
 

@@ -63,18 +63,22 @@ bool Rv32Simulator::step() {
   return true;
 }
 
+void Rv32Simulator::step_until(Rv32RunStats& stats, uint64_t max_instructions) {
+  while (!stats.halted && stats.instructions < max_instructions) {
+    if (!step()) {
+      stats.halted = true;
+      break;
+    }
+    ++stats.instructions;
+  }
+}
+
 Rv32RunStats Rv32Simulator::run(uint64_t max_instructions, const Observer& observer) {
   const detail::ScopedObserver scope(observer_, observer);
   Rv32RunStats stats;
   if (observer_) {
     // Instrumented loop: one observer call per retire, via step().
-    while (stats.instructions < max_instructions) {
-      if (!step()) {
-        stats.halted = true;
-        break;
-      }
-      ++stats.instructions;
-    }
+    step_until(stats, max_instructions);
     return stats;
   }
   // Native hot loop: position lives in registers; pc_/row_ are committed

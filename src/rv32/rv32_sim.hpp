@@ -185,8 +185,13 @@ class Rv32Simulator {
   /// The shared pre-decoded image this simulator executes.
   [[nodiscard]] const Rv32DecodedImage& image() const noexcept { return *image_; }
 
- private:
-  [[nodiscard]] uint32_t ram_at(uint32_t address, uint32_t size) const;
+ protected:
+  // State and the per-instruction loop are shared with the superblock
+  // tier (rv32_superblock.hpp), which only adds its block loop.
+
+  /// Steps one instruction at a time (observer included) until halt or
+  /// `stats.instructions` reaches `max_instructions`.
+  void step_until(Rv32RunStats& stats, uint64_t max_instructions);
 
   std::shared_ptr<const Rv32DecodedImage> image_;
   // Raw row-table base, cached so the hot loop chases one pointer
@@ -199,6 +204,9 @@ class Rv32Simulator {
   // static control flow chase precomputed row links instead of dividing.
   uint32_t row_ = 0;
   Observer observer_;
+
+ private:
+  [[nodiscard]] uint32_t ram_at(uint32_t address, uint32_t size) const;
 };
 
 /// The seed's decode-on-fetch rv32 loop: per-fetch range check, modulo

@@ -1,6 +1,6 @@
 #include "rv32/rv32_superblock.hpp"
 
-#include <utility>
+#include <memory>
 
 #include "rv32/rv32_exec.hpp"
 
@@ -159,65 +159,23 @@ const Rv32SuperblockPlan& Rv32DecodedImage::superblocks() const {
 // Rv32SuperblockSimulator.
 // ---------------------------------------------------------------------------
 
-Rv32SuperblockSimulator::Rv32SuperblockSimulator(const Rv32Program& program, std::size_t ram_bytes)
-    : Rv32SuperblockSimulator(decode(program), ram_bytes) {}
-
-Rv32SuperblockSimulator::Rv32SuperblockSimulator(std::shared_ptr<const Rv32DecodedImage> image,
-                                                 std::size_t ram_bytes)
-    : image_(std::move(image)), ram_(ram_bytes, 0) {
-  if (!image_) throw Rv32SimError("Rv32SuperblockSimulator: null image");
-  rows_ = image_->rows_data();
-  plan_ = &image_->superblocks();
-  pc_ = image_->entry();
-  row_ = image_->row_of(pc_);
-  for (const Rv32DataWord& d : image_->program().data) {
-    detail::ram_store(ram_, d.address, d.value, 4, "store");
-  }
-}
-
-// The per-instruction slow path: observed runs and partial-block tails,
-// kept in lock-step with Rv32Simulator::step() (the differential suite
-// runs both).
-bool Rv32SuperblockSimulator::step() {
-  const uint32_t row = row_;
-  const Rv32DecodedOp& op = rows_[row];
-  const uint32_t pc = pc_;
-  uint32_t next_pc = op.next_pc;
-  uint32_t next_row = op.next_row;
-  bool taken = false;
-
-  detail::HostDatapath dp{regs_, ram_};
-  if (!detail::execute_rv32(dp, *image_, op, pc, next_pc, next_row, taken)) {
-    if (observer_) observer_(Rv32Retired{image_->instruction(row), pc, false});
-    return false;  // halt convention
-  }
-
-  pc_ = next_pc;
-  row_ = next_row;
-  if (observer_) observer_(Rv32Retired{image_->instruction(row), pc, taken});
-  return true;
-}
-
 Rv32RunStats Rv32SuperblockSimulator::run(uint64_t max_instructions, const Observer& observer) {
   const detail::ScopedObserver scope(observer_, observer);
-  Rv32RunStats stats;
-  if (observer_) {
-    // Instrumented loop: one observer call per retire, via step() — the
-    // retire stream is bit-identical to the reference model's.
-    while (stats.instructions < max_instructions) {
-      if (!step()) {
-        stats.halted = true;
-        break;
-      }
-      ++stats.instructions;
-    }
-    return stats;
-  }
+  // An observed run steps every instruction, so the retire stream is
+  // bit-identical to the reference model's.
+  Rv32RunStats stats = observer_ ? Rv32RunStats{} : run_blocks(max_instructions);
+  // Partial-block tail, stepped exactly (fused intermediate states
+  // included) — what keeps tiny budgets bit-identical to the reference.
+  step_until(stats, max_instructions);
+  return stats;
+}
 
-  // Block-chained hot loop: position lives in registers, the budget is
-  // checked per block, retires are committed per block.  pc_/row_ are
-  // committed only at exit — including the trap path, where cur_pc names
-  // the faulting instruction exactly like the reference model.
+Rv32RunStats Rv32SuperblockSimulator::run_blocks(uint64_t max_instructions) {
+  // Block-chained hot loop: position and stats live in registers, the
+  // budget is checked per block, retires are committed per block.
+  // pc_/row_ are committed only at exit — including the trap path, where
+  // cur_pc names the faulting instruction exactly like the reference model.
+  Rv32RunStats stats;
   const Rv32Superblock* const blocks = plan_->blocks.data();
   const Rv32SuperOp* const ops = plan_->ops.data();
   const Rv32DecodedOp* const rows = rows_;
@@ -313,16 +271,6 @@ Rv32RunStats Rv32SuperblockSimulator::run(uint64_t max_instructions, const Obser
   }
   pc_ = pc;
   row_ = row;
-
-  // Partial-block tail, stepped exactly (fused intermediate states
-  // included) — what keeps tiny budgets bit-identical to the reference.
-  while (!stats.halted && stats.instructions < max_instructions) {
-    if (!step()) {
-      stats.halted = true;
-      break;
-    }
-    ++stats.instructions;
-  }
   return stats;
 }
 

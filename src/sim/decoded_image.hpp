@@ -22,9 +22,9 @@
 //    immediate raises SimError at load time instead of mid-run;
 //  * a parallel 24-byte-per-row PackedOp table is the packed TIM: every
 //    operand a row carries (immediate, link word) is stored as
-//    binary-coded-ternary plane pairs, so the PackedFunctionalSimulator
-//    executes without ever touching a Trit array and its fetch loop stays
-//    L1-resident.
+//    binary-coded-ternary plane pairs, so the packed backends (superblock
+//    tier, fleet, packed pipeline) execute without ever touching a Trit
+//    array and their fetch rows stay L1-resident.
 //
 // A DecodedImage is immutable after construction and carries a copy of
 // its source Program, so any number of simulator instances (including

@@ -9,7 +9,6 @@
 #include "sim/fleet.hpp"
 #include "sim/functional_sim.hpp"
 #include "sim/packed_pipeline.hpp"
-#include "sim/packed_sim.hpp"
 #include "sim/superblock.hpp"
 
 namespace art9::sim {
@@ -49,12 +48,12 @@ std::optional<EngineKind> parse_engine_kind(std::string_view name) noexcept {
 
 namespace {
 
-/// Shared skeleton of the three instruction-at-a-time engines.  The
-/// native hot loops (pre-decoded switch, packed threaded dispatch, lazy
-/// fetch) run untouched unless an observer is installed; only then do
-/// step()/run() route through the instrumented per-instruction loop, so
-/// the unobserved steps/s of every backend is exactly the wrapped
-/// simulator's.
+/// Shared skeleton of the instruction-at-a-time engines.  The native hot
+/// loops (pre-decoded switch, block-chained superblock dispatch, fleet
+/// cohorts, lazy fetch) run untouched unless an observer is installed;
+/// only then do step()/run() route through the instrumented
+/// per-instruction loop, so the unobserved steps/s of every backend is
+/// exactly the wrapped simulator's.
 class FunctionalEngineBase : public Engine {
  public:
   bool step() final {
@@ -143,29 +142,16 @@ class FunctionalEngine final : public FunctionalEngineBase {
   FunctionalSimulator sim_;
 };
 
-class PackedEngine final : public FunctionalEngineBase {
- public:
-  explicit PackedEngine(std::shared_ptr<const DecodedImage> image)
-      : FunctionalEngineBase(std::move(image)), sim_(image_) {}
-
-  [[nodiscard]] EngineKind kind() const noexcept override { return EngineKind::kPacked; }
-
- private:
-  bool do_step() override { return sim_.step(); }
-  SimStats do_run(uint64_t max_instructions) override { return sim_.run(max_instructions); }
-  [[nodiscard]] int64_t pc_now() const override { return sim_.pc(); }
-  [[nodiscard]] ArchState arch_snapshot() const override { return sim_.unpack_state(); }
-  void do_restore(const ArchState& state) override { sim_.restore(state); }
-
-  PackedFunctionalSimulator sim_;
-};
-
+/// The single-machine packed datapath.  kSuperblock and kPacked (the
+/// historical name art9-run, the serve API and the benchmarks still
+/// accept) both build this engine; it reports whichever kind it was made
+/// as.
 class SuperblockEngine final : public FunctionalEngineBase {
  public:
-  explicit SuperblockEngine(std::shared_ptr<const DecodedImage> image)
-      : FunctionalEngineBase(std::move(image)), sim_(image_) {}
+  SuperblockEngine(std::shared_ptr<const DecodedImage> image, EngineKind kind)
+      : FunctionalEngineBase(std::move(image)), kind_(kind), sim_(image_) {}
 
-  [[nodiscard]] EngineKind kind() const noexcept override { return EngineKind::kSuperblock; }
+  [[nodiscard]] EngineKind kind() const noexcept override { return kind_; }
 
  private:
   bool do_step() override { return sim_.step(); }
@@ -174,6 +160,7 @@ class SuperblockEngine final : public FunctionalEngineBase {
   [[nodiscard]] ArchState arch_snapshot() const override { return sim_.unpack_state(); }
   void do_restore(const ArchState& state) override { sim_.restore(state); }
 
+  EngineKind kind_;
   SuperblockSimulator sim_;
 };
 
@@ -337,9 +324,8 @@ std::unique_ptr<Engine> make_engine(EngineKind kind, std::shared_ptr<const Decod
     case EngineKind::kFunctional:
       return std::make_unique<FunctionalEngine>(std::move(image));
     case EngineKind::kPacked:
-      return std::make_unique<PackedEngine>(std::move(image));
     case EngineKind::kSuperblock:
-      return std::make_unique<SuperblockEngine>(std::move(image));
+      return std::make_unique<SuperblockEngine>(std::move(image), kind);
     case EngineKind::kFleet:
       return std::make_unique<FleetEngine>(std::move(image));
     case EngineKind::kPipeline:

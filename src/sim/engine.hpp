@@ -5,8 +5,9 @@
 // PicoRV32/VexRiscv timing models of Tables II/III) are compared against
 // the translated ART-9 ternary core.  The facade therefore spans
 //
-//   * the six ART-9 kinds (lazy decode-on-fetch, pre-decoded dispatch,
-//     plane-packed SWAR, the superblock translation tier over it, and the
+//   * the seven ART-9 kinds (lazy decode-on-fetch, pre-decoded dispatch,
+//     the superblock translation tier over the plane-packed SWAR datapath
+//     — kPacked names the same engine — the bit-sliced fleet, and the
 //     cycle-accurate pipeline on the reference or the plane-packed
 //     datapath), and
 //   * the three RV32 kinds (pre-decoded dispatch, the superblock
@@ -27,7 +28,7 @@
 //  * budget exhaustion is reported as HaltReason::kMaxCycles by every
 //    kind — never left defaulted;
 //  * the retired-instruction observer is zero-cost when unset: engines
-//    only leave their native hot loop (e.g. the packed threaded
+//    only leave their native hot loop (e.g. the superblock threaded
 //    dispatch) when an observer is installed.
 //
 // New backends (wider packed words, another ISA) drop in as a new
@@ -57,7 +58,7 @@ namespace art9::sim {
 enum class EngineKind : uint8_t {
   kLazy,            // seed decode-on-fetch loop (baseline for differential runs)
   kFunctional,      // pre-decoded dispatch fast path (golden model)
-  kPacked,          // plane-packed SWAR datapath
+  kPacked,          // the kSuperblock engine under its historical name
   kSuperblock,      // superblock translation tier over the packed datapath
   kPipeline,        // cycle-accurate 5-stage pipeline (reference datapath)
   kPackedPipeline,  // the same 5-stage control logic over plane-packed words

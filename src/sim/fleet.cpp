@@ -20,35 +20,71 @@ namespace {
   return static_cast<unsigned>(std::countr_zero(mask));
 }
 
-/// The bit-sliced mirror of superblock.cpp's reg_alu — the fused second
-/// half of kLoadOp, applied to every lane of the cohort at once.
+/// One bit-sliced data-processing cell: packed_cell<K> (packed_alu.hpp)
+/// applied to every lane of the cohort at once.  Immediates broadcast
+/// from the op's pre-packed planes.
+template <DispatchKind K>
+[[nodiscard]] ART9_PACKED_INLINE bs::SlicedWord9 sliced_cell(
+    [[maybe_unused]] const bs::SlicedWord9& a, [[maybe_unused]] const bs::SlicedWord9& b,
+    [[maybe_unused]] const SuperOp& op) {
+  if constexpr (K == DispatchKind::kMv) {
+    return b;
+  } else if constexpr (K == DispatchKind::kPti) {
+    return bs::pti(b);
+  } else if constexpr (K == DispatchKind::kNti) {
+    return bs::nti(b);
+  } else if constexpr (K == DispatchKind::kSti) {
+    return bs::sti(b);
+  } else if constexpr (K == DispatchKind::kAnd) {
+    return bs::tand(a, b);
+  } else if constexpr (K == DispatchKind::kOr) {
+    return bs::tor(a, b);
+  } else if constexpr (K == DispatchKind::kXor) {
+    return bs::txor(a, b);
+  } else if constexpr (K == DispatchKind::kAdd) {
+    return bs::add(a, b);
+  } else if constexpr (K == DispatchKind::kSub) {
+    return bs::sub(a, b);
+  } else if constexpr (K == DispatchKind::kSr) {
+    return bs::shr_var(a, b);
+  } else if constexpr (K == DispatchKind::kSl) {
+    return bs::shl_var(a, b);
+  } else if constexpr (K == DispatchKind::kComp) {
+    return bs::comp(a, b);
+  } else if constexpr (K == DispatchKind::kAndi) {
+    return bs::tand(a, bs::broadcast(op.word()));
+  } else if constexpr (K == DispatchKind::kAddi) {
+    // Exact: adding the pre-encoded (wrapped) immediate word mod 3^9 is
+    // add_int.  The plan carries the planes, so no re-encode here.
+    return bs::add(a, bs::broadcast(op.word()));
+  } else if constexpr (K == DispatchKind::kSri) {
+    return bs::shr(a, static_cast<unsigned>(static_cast<int>(op.imm)));
+  } else if constexpr (K == DispatchKind::kSli) {
+    return bs::shl(a, static_cast<unsigned>(static_cast<int>(op.imm)));
+  } else if constexpr (K == DispatchKind::kLui) {
+    return bs::broadcast(op.word());
+  } else {
+    static_assert(K == DispatchKind::kLi, "kind has no data-processing result");
+    // Keep the high four trits, insert the pre-packed imm5 planes.
+    bs::SlicedWord9 r = a;
+    for (unsigned t = 0; t < 5; ++t) {
+      r.neg[t] = 0u - ((static_cast<uint32_t>(op.word_neg) >> t) & 1u);
+      r.pos[t] = 0u - ((static_cast<uint32_t>(op.word_pos) >> t) & 1u);
+    }
+    return r;
+  }
+}
+
+/// The register-operand cells by runtime kind — kLoadOp's fused second
+/// half.
 [[nodiscard]] bs::SlicedWord9 sliced_reg_alu(DispatchKind kind, const bs::SlicedWord9& a,
-                                             const bs::SlicedWord9& b) {
+                                             const bs::SlicedWord9& b, const SuperOp& op) {
   switch (kind) {
-    case DispatchKind::kMv:
-      return b;
-    case DispatchKind::kPti:
-      return bs::pti(b);
-    case DispatchKind::kNti:
-      return bs::nti(b);
-    case DispatchKind::kSti:
-      return bs::sti(b);
-    case DispatchKind::kAnd:
-      return bs::tand(a, b);
-    case DispatchKind::kOr:
-      return bs::tor(a, b);
-    case DispatchKind::kXor:
-      return bs::txor(a, b);
-    case DispatchKind::kAdd:
-      return bs::add(a, b);
-    case DispatchKind::kSub:
-      return bs::sub(a, b);
-    case DispatchKind::kSr:
-      return bs::shr_var(a, b);
-    case DispatchKind::kSl:
-      return bs::shl_var(a, b);
-    case DispatchKind::kComp:
-      return bs::comp(a, b);
+#define ART9_SLICED_ALU_CASE(K) \
+  case DispatchKind::K:         \
+    return sliced_cell<DispatchKind::K>(a, b, op);
+    ART9_PACKED_REG_ALU_KINDS(ART9_SLICED_ALU_CASE)
+#undef ART9_SLICED_ALU_CASE
     default:
       throw SimError("fleet: non-register kind in fused ALU slot");
   }
@@ -80,60 +116,26 @@ BctWord9 FleetSimulator::lane_word(int reg, unsigned lane) const {
   return bs::extract_lane(trf_[static_cast<std::size_t>(reg)], lane);
 }
 
-int32_t FleetSimulator::lane_int(int reg, unsigned lane) const {
-  return pk::to_int(lane_word(reg, lane));
-}
-
-// The per-lane slow path: gather/scatter against the sliced TRF, but
-// instruction for instruction the SuperblockSimulator::step() semantics
-// (which the conformance suite locks against the golden model).  Used
-// for partial-block budget tails and the observed-run engine path.
+// The per-lane slow path (partial-block budget tails, the observed-run
+// engine path): the shared packed_step() over one lane of the sliced
+// state.  Registers gather/scatter the lane's bits; TDM moves copy its
+// bit between sliced words without un-transposing.
 bool FleetSimulator::step_lane(unsigned lane) {
-  const PackedOp& op = prows_[row_[lane]];
-  const int ta = op.ta;
-  const int tb = op.tb;
-  switch (op.kind) {
-    case DispatchKind::kBeq:
-    case DispatchKind::kBne: {
-      const bool eq = lane_word(tb, lane).lst_value() == op.bcond;
-      const bool taken = op.kind == DispatchKind::kBeq ? eq : !eq;
-      row_[lane] = taken ? op.taken_row : op.next_row;
-      return true;
+  struct Lane {
+    FleetSimulator& f;
+    unsigned lane;
+    [[nodiscard]] BctWord9 reg(unsigned r) const { return f.lane_word(static_cast<int>(r), lane); }
+    void set_reg(unsigned r, const BctWord9& v) { bs::insert_lane(f.trf_[r], lane, v); }
+    void load(unsigned r, std::size_t row) {
+      ++f.mem_reads_[lane];
+      bs::copy_lane(f.trf_[r], f.stdm_[row], lane);
     }
-    case DispatchKind::kHalt:
-      return false;
-    case DispatchKind::kJal:
-      bs::insert_lane(trf_[static_cast<std::size_t>(ta)], lane, op.word());
-      row_[lane] = op.taken_row;
-      return true;
-    case DispatchKind::kJalr: {
-      const int32_t target = pk::wrap(lane_int(tb, lane) + op.imm);
-      if (target == op.pc) return false;  // self-jump = halt (no link write)
-      bs::insert_lane(trf_[static_cast<std::size_t>(ta)], lane, op.word());
-      row_[lane] = static_cast<uint32_t>(pk::row_of(target));
-      return true;
+    void store(std::size_t row, unsigned r) {
+      ++f.mem_writes_[lane];
+      bs::copy_lane(f.stdm_[row], f.trf_[r], lane);
     }
-    case DispatchKind::kLoad: {
-      const int32_t addr = lane_int(tb, lane) + op.imm;
-      ++mem_reads_[lane];
-      bs::copy_lane(trf_[static_cast<std::size_t>(ta)], stdm_[pk::row_of(addr)], lane);
-      break;
-    }
-    case DispatchKind::kStore: {
-      const int32_t addr = lane_int(tb, lane) + op.imm;
-      ++mem_writes_[lane];
-      bs::copy_lane(stdm_[pk::row_of(addr)], trf_[static_cast<std::size_t>(ta)], lane);
-      break;
-    }
-    case DispatchKind::kInvalid:
-      throw SimError("fetch from uninitialised TIM address " + std::to_string(op.pc));
-    default:
-      bs::insert_lane(trf_[static_cast<std::size_t>(ta)], lane,
-                      packed_alu(op, lane_word(ta, lane), lane_word(tb, lane)));
-      break;
-  }
-  row_[lane] = op.next_row;
-  return true;
+  };
+  return packed_step(Lane{*this, lane}, prows_, row_[lane]);
 }
 
 // One full superblock pass for every lane in `mask` — every body op is
@@ -182,6 +184,22 @@ void FleetSimulator::execute_block(uint32_t row, uint32_t mask, std::vector<Lane
   const auto set_rows = [&](uint32_t lanes, uint32_t target) {
     for (uint32_t scan = lanes; scan != 0; scan &= scan - 1) row_[first_lane(scan)] = target;
   };
+  // A uniform address register — the lockstep common case — collapses
+  // the whole cohort's TDM traffic to one masked plane copy against the
+  // transposed memory; divergent lanes move their own bit.
+  const auto uniform_tdm_row = [&](const SuperOp& o) {
+    return packed_tdm_row(bs::extract_lane(trf[o.tb], first_lane(mask)), o.imm);
+  };
+  const auto load = [&](const SuperOp& o) {
+    if (bs::uniform(trf[o.tb], mask)) {
+      bs::assign_masked(trf[o.ta], stdm_[uniform_tdm_row(o)], mask);
+      return;
+    }
+    for (uint32_t scan = mask; scan != 0; scan &= scan - 1) {
+      const unsigned i = first_lane(scan);
+      bs::copy_lane(trf[o.ta], stdm_[packed_tdm_row(lane_word(o.tb, i), o.imm)], i);
+    }
+  };
 
   // Lockstep block chaining: while every mask lane agrees on one
   // successor and the tightest remaining budget still fits it, dispatch
@@ -193,123 +211,35 @@ void FleetSimulator::execute_block(uint32_t row, uint32_t mask, std::vector<Lane
     for (;; ++op) {
       switch (op->kind) {
       // --- body ops: one plane operation for the whole cohort ------------
-      case SuperOpKind::kMv:
-        bs::assign_masked(trf[op->ta], trf[op->tb], mask);
-        break;
-      case SuperOpKind::kPti:
-        bs::assign_masked(trf[op->ta], bs::pti(trf[op->tb]), mask);
-        break;
-      case SuperOpKind::kNti:
-        bs::assign_masked(trf[op->ta], bs::nti(trf[op->tb]), mask);
-        break;
-      case SuperOpKind::kSti:
-        bs::assign_masked(trf[op->ta], bs::sti(trf[op->tb]), mask);
-        break;
-      case SuperOpKind::kAnd:
-        bs::assign_masked(trf[op->ta], bs::tand(trf[op->ta], trf[op->tb]), mask);
-        break;
-      case SuperOpKind::kOr:
-        bs::assign_masked(trf[op->ta], bs::tor(trf[op->ta], trf[op->tb]), mask);
-        break;
-      case SuperOpKind::kXor:
-        bs::assign_masked(trf[op->ta], bs::txor(trf[op->ta], trf[op->tb]), mask);
-        break;
-      case SuperOpKind::kAdd:
-        bs::assign_masked(trf[op->ta], bs::add(trf[op->ta], trf[op->tb]), mask);
-        break;
-      case SuperOpKind::kSub:
-        bs::assign_masked(trf[op->ta], bs::sub(trf[op->ta], trf[op->tb]), mask);
-        break;
-      case SuperOpKind::kSr:
-        bs::assign_masked(trf[op->ta], bs::shr_var(trf[op->ta], trf[op->tb]), mask);
-        break;
-      case SuperOpKind::kSl:
-        bs::assign_masked(trf[op->ta], bs::shl_var(trf[op->ta], trf[op->tb]), mask);
-        break;
-      case SuperOpKind::kComp:
-        bs::assign_masked(trf[op->ta], bs::comp(trf[op->ta], trf[op->tb]), mask);
-        break;
-      case SuperOpKind::kAndi:
-        bs::assign_masked(trf[op->ta], bs::tand(trf[op->ta], bs::broadcast(op->word())), mask);
-        break;
-      case SuperOpKind::kAddi:
-      case SuperOpKind::kAddiChain:
-        // Exact: adding the pre-encoded (wrapped) immediate word mod 3^9
-        // is add_int.  The plan carries the planes, so no re-encode here.
-        bs::assign_masked(trf[op->ta], bs::add(trf[op->ta], bs::broadcast(op->word())), mask);
-        break;
-      case SuperOpKind::kSri:
-        bs::assign_masked(trf[op->ta],
-                          bs::shr(trf[op->ta], static_cast<unsigned>(static_cast<int>(op->imm))),
-                          mask);
-        break;
-      case SuperOpKind::kSli:
-        bs::assign_masked(trf[op->ta],
-                          bs::shl(trf[op->ta], static_cast<unsigned>(static_cast<int>(op->imm))),
-                          mask);
-        break;
-      case SuperOpKind::kLui:
-      case SuperOpKind::kConst:
-        bs::assign_masked(trf[op->ta], bs::broadcast(op->word()), mask);
-        break;
-      case SuperOpKind::kLi: {
-        // Keep the high four trits, insert the pre-packed imm5 planes.
-        bs::SlicedWord9 r = trf[op->ta];
-        for (unsigned t = 0; t < 5; ++t) {
-          r.neg[t] = 0u - ((static_cast<uint32_t>(op->word_neg) >> t) & 1u);
-          r.pos[t] = 0u - ((static_cast<uint32_t>(op->word_pos) >> t) & 1u);
-        }
-        bs::assign_masked(trf[op->ta], r, mask);
-        break;
-      }
+#define ART9_FLEET_CELL(K)                                                                     \
+  case SuperOpKind::K:                                                                         \
+    bs::assign_masked(trf[op->ta], sliced_cell<DispatchKind::K>(trf[op->ta], trf[op->tb], *op), \
+                      mask);                                                                   \
+    break;
+      ART9_PACKED_ALU_KINDS(ART9_FLEET_CELL)
+#undef ART9_FLEET_CELL
       // Counter deltas for the memory ops are batched per block (retire),
-      // as on the scalar fast path.  A uniform address register — the
-      // lockstep common case — collapses the whole cohort's TDM traffic
-      // to one masked plane copy against the transposed memory.
+      // as on the scalar fast path.
       case SuperOpKind::kLoad:
-        if (bs::uniform(trf[op->tb], mask)) {
-          const int32_t addr =
-              pk::to_int(bs::extract_lane(trf[op->tb], first_lane(mask))) + op->imm;
-          bs::assign_masked(trf[op->ta], stdm_[pk::row_of(addr)], mask);
-        } else {
-          for (uint32_t scan = mask; scan != 0; scan &= scan - 1) {
-            const unsigned i = first_lane(scan);
-            const int32_t addr = lane_int(op->tb, i) + op->imm;
-            bs::copy_lane(trf[op->ta], stdm_[pk::row_of(addr)], i);
-          }
-        }
+        load(*op);
         break;
       case SuperOpKind::kStore:
         if (bs::uniform(trf[op->tb], mask)) {
-          const int32_t addr =
-              pk::to_int(bs::extract_lane(trf[op->tb], first_lane(mask))) + op->imm;
-          bs::assign_masked(stdm_[pk::row_of(addr)], trf[op->ta], mask);
+          bs::assign_masked(stdm_[uniform_tdm_row(*op)], trf[op->ta], mask);
         } else {
           for (uint32_t scan = mask; scan != 0; scan &= scan - 1) {
             const unsigned i = first_lane(scan);
-            const int32_t addr = lane_int(op->tb, i) + op->imm;
-            bs::copy_lane(stdm_[pk::row_of(addr)], trf[op->ta], i);
+            bs::copy_lane(stdm_[packed_tdm_row(lane_word(op->tb, i), op->imm)], trf[op->ta], i);
           }
         }
         break;
-      case SuperOpKind::kLoadOp: {
-        if (bs::uniform(trf[op->tb], mask)) {
-          const int32_t addr =
-              pk::to_int(bs::extract_lane(trf[op->tb], first_lane(mask))) + op->imm;
-          bs::assign_masked(trf[op->ta], stdm_[pk::row_of(addr)], mask);
-        } else {
-          for (uint32_t scan = mask; scan != 0; scan &= scan - 1) {
-            const unsigned i = first_lane(scan);
-            const int32_t addr = lane_int(op->tb, i) + op->imm;
-            bs::copy_lane(trf[op->ta], stdm_[pk::row_of(addr)], i);
-          }
-        }
-        bs::assign_masked(
-            trf[op->ta2],
-            sliced_reg_alu(static_cast<DispatchKind>(op->kind2), trf[op->ta2], trf[op->tb2]),
-            mask);
+      case SuperOpKind::kLoadOp:
+        load(*op);
+        bs::assign_masked(trf[op->ta2],
+                          sliced_reg_alu(static_cast<DispatchKind>(op->kind2), trf[op->ta2],
+                                         trf[op->tb2], *op),
+                          mask);
         break;
-      }
 
       // --- terminators: reconcile the cohort, one group per successor ----
       case SuperOpKind::kBranch: {
@@ -325,7 +255,7 @@ void FleetSimulator::execute_block(uint32_t row, uint32_t mask, std::vector<Lane
         return;
       }
       case SuperOpKind::kCmpBranch: {
-        const bs::SlicedWord9 r = bs::comp(trf[op->ta], trf[op->tb]);
+        const bs::SlicedWord9 r = sliced_cell<DispatchKind::kComp>(trf[op->ta], trf[op->tb], *op);
         bs::assign_masked(trf[op->ta], r, mask);
         const uint32_t eq = bs::lst_eq_mask(r, op->bcond);
         const uint32_t taken = ((op->flags & SuperOp::kFlagBne) ? ~eq : eq) & mask;
@@ -349,7 +279,7 @@ void FleetSimulator::execute_block(uint32_t row, uint32_t mask, std::vector<Lane
         // may alias tb).
         if (bs::uniform(trf[op->tb], mask)) {
           const int32_t target =
-              pk::wrap(pk::to_int(bs::extract_lane(trf[op->tb], first_lane(mask))) + op->imm);
+              packed_jalr_target(bs::extract_lane(trf[op->tb], first_lane(mask)), op->imm);
           if (target == op->pc) {
             // Self-jump = halt: never retires, back out the entry clamp.
             retire(mask, 1);
@@ -371,7 +301,7 @@ void FleetSimulator::execute_block(uint32_t row, uint32_t mask, std::vector<Lane
         uint32_t halting = 0;
         for (uint32_t scan = mask; scan != 0; scan &= scan - 1) {
           const unsigned i = first_lane(scan);
-          target[i] = pk::wrap(lane_int(op->tb, i) + op->imm);
+          target[i] = packed_jalr_target(lane_word(op->tb, i), op->imm);
           if (target[i] == op->pc) halting |= 1u << i;
         }
         const uint32_t jumping = mask & ~halting;

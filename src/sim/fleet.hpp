@@ -96,8 +96,8 @@ class FleetSimulator {
   [[nodiscard]] int64_t reg_int(unsigned lane, int index) const;
 
  private:
-  /// One instruction on `lane` via gather/scatter — the exact
-  /// SuperblockSimulator::step() semantics (partial-block tails, the
+  /// One instruction on `lane` via gather/scatter — packed_step(), the
+  /// step SuperblockSimulator::step() runs too (partial-block tails, the
   /// observed-run path).  Throws SimError on a trap.
   bool step_lane(unsigned lane);
 
@@ -111,7 +111,6 @@ class FleetSimulator {
                      std::array<uint64_t, kMaxLanes>& remaining, uint32_t& active);
 
   [[nodiscard]] ternary::BctWord9 lane_word(int reg, unsigned lane) const;
-  [[nodiscard]] int32_t lane_int(int reg, unsigned lane) const;
 
   std::shared_ptr<const DecodedImage> image_;
   const PackedOp* prows_;

@@ -10,11 +10,11 @@ namespace detail {
 using Word = PackedPipelineDatapath::Word;
 
 Word PackedPipelineDatapath::alu(const DecodedOp& dop, const Word& a, const Word& b) const {
-  // The shared packed TALU (packed_alu.hpp) — the same cells the
-  // PackedFunctionalSimulator dispatches; BctWord9 <-> PackedWord<9>
-  // conversions are free plane copies.
+  // The shared packed TALU cells (packed_alu.hpp); BctWord9 <->
+  // PackedWord<9> conversions are free plane copies.
+  const PackedOp& op = packed(dop);
   return ternary::packed::from_bct(
-      packed_alu(packed(dop), ternary::packed::to_bct(a), ternary::packed::to_bct(b)));
+      packed_alu(op.kind, ternary::packed::to_bct(a), ternary::packed::to_bct(b), op));
 }
 
 ArchState PackedPipelineDatapath::unpack_state() const {

@@ -19,40 +19,6 @@ namespace {
   return static_cast<uint8_t>(k) <= static_cast<uint8_t>(DispatchKind::kComp);
 }
 
-/// The fused second op of kLoadOp: one shared register-only TALU cell
-/// (kMv..kComp — the immediate forms never fuse, so no operand word).
-/// Must stay in lock-step with packed_alu.hpp / the packed run() handlers.
-[[nodiscard]] BctWord9 reg_alu(DispatchKind kind, const BctWord9& a, const BctWord9& b) {
-  switch (kind) {
-    case DispatchKind::kMv:
-      return b;
-    case DispatchKind::kPti:
-      return b.pti();
-    case DispatchKind::kNti:
-      return b.nti();
-    case DispatchKind::kSti:
-      return b.sti();
-    case DispatchKind::kAnd:
-      return BctWord9::tand(a, b);
-    case DispatchKind::kOr:
-      return BctWord9::tor(a, b);
-    case DispatchKind::kXor:
-      return BctWord9::txor(a, b);
-    case DispatchKind::kAdd:
-      return pk::add(a, b);
-    case DispatchKind::kSub:
-      return pk::sub(a, b);
-    case DispatchKind::kSr:
-      return a.shr(pk::shift_amount(b));
-    case DispatchKind::kSl:
-      return a.shl(pk::shift_amount(b));
-    case DispatchKind::kComp:
-      return pk::comp_word(a, b);
-    default:
-      throw SimError("superblock: non-register kind in fused ALU slot");
-  }
-}
-
 // The first 18 SuperOpKind values mirror DispatchKind so unfused body
 // translation is a cast.
 static_assert(static_cast<uint8_t>(SuperOpKind::kMv) == static_cast<uint8_t>(DispatchKind::kMv) &&
@@ -168,11 +134,11 @@ static_assert(static_cast<uint8_t>(SuperOpKind::kMv) == static_cast<uint8_t>(Dis
 
       if (consumed + 2 <= SuperblockPlan::kMaxBlockInstructions) {
         // LUI + LI/ADDI over the same register: the constant is fully
-        // static — one kConst with precomputed planes.
+        // static — one kLui whose complete result is the fused planes.
         if (p.kind == DispatchKind::kLui &&
             (q.kind == DispatchKind::kLi || q.kind == DispatchKind::kAddi) && q.ta == p.ta) {
           SuperOp s = from_packed(p, row);
-          s.kind = SuperOpKind::kConst;
+          s.kind = SuperOpKind::kLui;
           const BctWord9 value = fuse_const(p, q);
           s.word_neg = static_cast<uint16_t>(value.neg_plane());
           s.word_pos = static_cast<uint16_t>(value.pos_plane());
@@ -199,13 +165,13 @@ static_assert(static_cast<uint8_t>(SuperOpKind::kMv) == static_cast<uint8_t>(Dis
           continue;
         }
         // ADDI + ADDI… on the same register: fold the whole run's
-        // immediates into one at translation time.  Exact because
+        // immediates into one kAddi at translation time.  Exact because
         // (a+i1)+i2 == a+wrap(i1+i2) mod 3^9 — the intermediate wraps
         // are immaterial, and the fast path never exposes mid-block
         // states (a partial budget steps the unfused slow path).
         if (p.kind == DispatchKind::kAddi && q.kind == DispatchKind::kAddi && q.ta == p.ta) {
           SuperOp s = from_packed(p, row);
-          s.kind = SuperOpKind::kAddiChain;
+          s.kind = SuperOpKind::kAddi;
           int32_t folded = pk::wrap(static_cast<int32_t>(p.imm) + q.imm);
           uint32_t length = 2;
           uint32_t next = q.next_row;
@@ -223,7 +189,6 @@ static_assert(static_cast<uint8_t>(SuperOpKind::kMv) == static_cast<uint8_t>(Dis
           const BctWord9 folded_word = pk::from_int(folded);
           s.word_neg = static_cast<uint16_t>(folded_word.neg_plane());
           s.word_pos = static_cast<uint16_t>(folded_word.pos_plane());
-          s.kind2 = static_cast<uint8_t>(length);
           plan->ops.push_back(s);
           blk.retires += length;
           consumed += length;
@@ -281,66 +246,21 @@ SuperblockSimulator::SuperblockSimulator(std::shared_ptr<const DecodedImage> ima
   for (const isa::DataWord& d : image_->program().data) {
     tdm_.poke(d.address, BctWord9::encode(d.value));
   }
-  pc_ = image_->program().entry;
-  row_ = DecodedImage::row_of(pc_);
+  row_ = static_cast<uint32_t>(DecodedImage::row_of(image_->program().entry));
 }
 
-// The per-instruction slow path: the observed-run and partial-block
-// semantics, kept in lock-step with PackedFunctionalSimulator::step()
-// (the differential suite runs both).
+// The per-instruction slow path (observed runs, partial-block tails): the
+// shared packed_step() over the packed TRF/TDM.
 bool SuperblockSimulator::step() {
-  const PackedOp& op = prows_[row_];
-  BctWord9* const trf = trf_.data();
-  const std::size_t ta = op.ta;
-  const std::size_t tb = op.tb;
-  switch (op.kind) {
-    case DispatchKind::kBeq:
-    case DispatchKind::kBne: {
-      const bool eq = trf[tb].lst_value() == op.bcond;
-      const bool taken = op.kind == DispatchKind::kBeq ? eq : !eq;
-      if (taken) {
-        pc_ = op.taken_pc;
-        row_ = op.taken_row;
-      } else {
-        pc_ = op.next_pc;
-        row_ = op.next_row;
-      }
-      return true;
-    }
-    case DispatchKind::kHalt:
-      return false;
-    case DispatchKind::kJal:
-      trf[ta] = op.word();  // the pre-packed link
-      pc_ = op.taken_pc;
-      row_ = op.taken_row;
-      return true;
-    case DispatchKind::kJalr: {
-      const int32_t target = pk::wrap(pk::to_int(trf[tb]) + op.imm);
-      if (target == op.pc) return false;  // self-jump = halt (no link write)
-      trf[ta] = op.word();
-      pc_ = target;
-      row_ = pk::row_of(target);
-      return true;
-    }
-    case DispatchKind::kLoad: {
-      const int32_t addr = pk::to_int(trf[tb]) + op.imm;
-      trf[ta] = tdm_.read_row(pk::row_of(addr));
-      break;
-    }
-    case DispatchKind::kStore: {
-      const int32_t addr = pk::to_int(trf[tb]) + op.imm;
-      tdm_.write_row(pk::row_of(addr), trf[ta]);
-      break;
-    }
-    case DispatchKind::kInvalid:
-      throw SimError("fetch from uninitialised TIM address " + std::to_string(op.pc));
-    default:
-      trf[ta] = packed_alu(op, trf[ta], trf[tb]);
-      break;
-  }
-  pc_ = op.next_pc;
-  row_ = op.next_row;
-  return true;
+  struct Machine {
+    BctWord9* trf;
+    PackedMemory& tdm;
+    [[nodiscard]] BctWord9 reg(unsigned r) const { return trf[r]; }
+    void set_reg(unsigned r, const BctWord9& v) { trf[r] = v; }
+    void load(unsigned r, std::size_t row) { trf[r] = tdm.read_row(row); }
+    void store(std::size_t row, unsigned r) { tdm.write_row(row, trf[r]); }
+  };
+  return packed_step(Machine{trf_.data(), tdm_}, prows_, row_);
 }
 
 SimStats SuperblockSimulator::run(uint64_t max_instructions) {
@@ -364,7 +284,7 @@ SimStats SuperblockSimulator::run(uint64_t max_instructions) {
 }
 
 // Threaded dispatch (computed goto) is a GNU extension; other compilers
-// fall back to the portable step() loop, as in packed_sim.cpp.
+// fall back to the portable step() loop.
 #if defined(__GNUC__) || defined(__clang__)
 #define ART9_SB_THREADED_DISPATCH 1
 #endif
@@ -377,24 +297,22 @@ uint64_t SuperblockSimulator::run_blocks(uint64_t max_instructions, bool& halted
   // advance a flat op pointer instead of chasing rows, and the
   // terminator commits the block's precomputed retire/TDM deltas in one
   // shot before jumping to the successor block.
+#define ART9_SB_CELL_LABEL(K) &&h_##K,
   static const void* const kHandlers[] = {
-      &&h_mv,     &&h_pti,       &&h_nti,  &&h_sti,        &&h_and,  &&h_or,
-      &&h_xor,    &&h_add,       &&h_sub,  &&h_sr,         &&h_sl,   &&h_comp,
-      &&h_andi,   &&h_addi,      &&h_sri,  &&h_sli,        &&h_lui,  &&h_li,
-      &&h_load,   &&h_store,     &&h_const, &&h_load_op, &&h_addi_chain,
-      &&h_branch, &&h_cmp_branch, &&h_jal, &&h_jalr,
-      &&h_fallthrough, &&h_halt, &&h_trap,
+      ART9_PACKED_ALU_KINDS(ART9_SB_CELL_LABEL)
+      &&h_load, &&h_store, &&h_load_op, &&h_branch, &&h_cmp_branch,
+      &&h_jal, &&h_jalr, &&h_fallthrough, &&h_halt, &&h_trap,
   };
+#undef ART9_SB_CELL_LABEL
   static_assert(sizeof(kHandlers) / sizeof(kHandlers[0]) ==
                     static_cast<std::size_t>(SuperOpKind::kTrap) + 1,
                 "handler table must cover every SuperOpKind");
 
   const Superblock* const blocks = plan_->blocks.data();
   const SuperOp* const ops = plan_->ops.data();
-  const PackedOp* const rows = prows_;
   BctWord9* const trf = trf_.data();
   BctWord9* const mem = tdm_.data();
-  uint32_t row = static_cast<uint32_t>(row_);
+  uint32_t row = row_;
   uint64_t executed = 0;
   uint64_t mem_reads = 0;
   uint64_t mem_writes = 0;
@@ -424,85 +342,24 @@ uint64_t SuperblockSimulator::run_blocks(uint64_t max_instructions, bool& halted
 
   ART9_SB_ENTER(row);
 
-h_mv:
-  trf[op->ta] = trf[op->tb];
+// One handler per data-processing kind, each the shared packed cell.
+#define ART9_SB_CELL(K)                                                      \
+  h_##K:                                                                     \
+  trf[op->ta] = packed_cell<DispatchKind::K>(trf[op->ta], trf[op->tb], *op); \
   ART9_SB_NEXT();
-h_pti:
-  trf[op->ta] = trf[op->tb].pti();
+  ART9_PACKED_ALU_KINDS(ART9_SB_CELL)
+#undef ART9_SB_CELL
+
+h_load:
+  trf[op->ta] = mem[packed_tdm_row(trf[op->tb], op->imm)];  // counter delta batched per block
   ART9_SB_NEXT();
-h_nti:
-  trf[op->ta] = trf[op->tb].nti();
+h_store:
+  mem[packed_tdm_row(trf[op->tb], op->imm)] = trf[op->ta];
   ART9_SB_NEXT();
-h_sti:
-  trf[op->ta] = trf[op->tb].sti();
-  ART9_SB_NEXT();
-h_and:
-  trf[op->ta] = BctWord9::tand(trf[op->ta], trf[op->tb]);
-  ART9_SB_NEXT();
-h_or:
-  trf[op->ta] = BctWord9::tor(trf[op->ta], trf[op->tb]);
-  ART9_SB_NEXT();
-h_xor:
-  trf[op->ta] = BctWord9::txor(trf[op->ta], trf[op->tb]);
-  ART9_SB_NEXT();
-h_add:
-  trf[op->ta] = pk::add(trf[op->ta], trf[op->tb]);
-  ART9_SB_NEXT();
-h_sub:
-  trf[op->ta] = pk::sub(trf[op->ta], trf[op->tb]);
-  ART9_SB_NEXT();
-h_sr:
-  trf[op->ta] = trf[op->ta].shr(pk::shift_amount(trf[op->tb]));
-  ART9_SB_NEXT();
-h_sl:
-  trf[op->ta] = trf[op->ta].shl(pk::shift_amount(trf[op->tb]));
-  ART9_SB_NEXT();
-h_comp:
-  trf[op->ta] = pk::comp_word(trf[op->ta], trf[op->tb]);
-  ART9_SB_NEXT();
-h_andi:
-  trf[op->ta] = BctWord9::tand(trf[op->ta], op->word());
-  ART9_SB_NEXT();
-h_addi:
-  trf[op->ta] = pk::add_int(trf[op->ta], op->imm);
-  ART9_SB_NEXT();
-h_sri:
-  trf[op->ta] = trf[op->ta].shr(static_cast<unsigned>(static_cast<int>(op->imm)));
-  ART9_SB_NEXT();
-h_sli:
-  trf[op->ta] = trf[op->ta].shl(static_cast<unsigned>(static_cast<int>(op->imm)));
-  ART9_SB_NEXT();
-h_lui:
-  trf[op->ta] = op->word();
-  ART9_SB_NEXT();
-h_li: {
-  constexpr uint32_t kHigh4 = BctWord9::kMask & ~0x1Fu;
-  trf[op->ta] = BctWord9::from_planes_unchecked((trf[op->ta].neg_plane() & kHigh4) | op->word_neg,
-                                                (trf[op->ta].pos_plane() & kHigh4) | op->word_pos);
-  ART9_SB_NEXT();
-}
-h_load: {
-  const int32_t addr = pk::to_int(trf[op->tb]) + op->imm;
-  trf[op->ta] = mem[pk::row_of(addr)];  // counter delta batched per block
-  ART9_SB_NEXT();
-}
-h_store: {
-  const int32_t addr = pk::to_int(trf[op->tb]) + op->imm;
-  mem[pk::row_of(addr)] = trf[op->ta];
-  ART9_SB_NEXT();
-}
-h_const:
-  trf[op->ta] = op->word();  // the fused LUI+LI/ADDI result, precomputed
-  ART9_SB_NEXT();
-h_load_op: {
-  const int32_t addr = pk::to_int(trf[op->tb]) + op->imm;
-  trf[op->ta] = mem[pk::row_of(addr)];
-  trf[op->ta2] = reg_alu(static_cast<DispatchKind>(op->kind2), trf[op->ta2], trf[op->tb2]);
-  ART9_SB_NEXT();
-}
-h_addi_chain:
-  // The whole ADDI run in one value-domain add (immediates pre-folded).
-  trf[op->ta] = pk::add_int(trf[op->ta], op->imm);
+h_load_op:
+  trf[op->ta] = mem[packed_tdm_row(trf[op->tb], op->imm)];
+  trf[op->ta2] =
+      packed_reg_alu(static_cast<DispatchKind>(op->kind2), trf[op->ta2], trf[op->tb2], *op);
   ART9_SB_NEXT();
 h_branch: {
   const bool eq = trf[op->tb].lst_value() == op->bcond;
@@ -511,7 +368,7 @@ h_branch: {
   ART9_SB_ENTER(taken ? op->taken_row : op->next_row);
 }
 h_cmp_branch: {
-  const BctWord9 r = pk::comp_word(trf[op->ta], trf[op->tb]);
+  const BctWord9 r = packed_cell<DispatchKind::kComp>(trf[op->ta], trf[op->tb], *op);
   trf[op->ta] = r;
   const bool eq = r.lst_value() == op->bcond;
   const bool taken = (op->flags & SuperOp::kFlagBne) ? !eq : eq;
@@ -523,7 +380,7 @@ h_jal:
   ART9_SB_RETIRE();
   ART9_SB_ENTER(op->taken_row);
 h_jalr: {
-  const int32_t target = pk::wrap(pk::to_int(trf[op->tb]) + op->imm);
+  const int32_t target = packed_jalr_target(trf[op->tb], op->imm);
   if (target == op->pc) {
     // Self-jump = halt: it never retires, so back its entry-clamp share
     // out of the batched count.
@@ -549,7 +406,6 @@ h_halt:
 h_trap:
   ART9_SB_RETIRE();  // the body did execute — commit before throwing
   row_ = op->self_row;
-  pc_ = op->pc;
   tdm_.add_counters(mem_reads, mem_writes);
   throw SimError("fetch from uninitialised TIM address " + std::to_string(op->pc));
 
@@ -560,7 +416,6 @@ done:
 #undef ART9_SB_RETIRE
 
   row_ = row;
-  pc_ = rows[row].pc;
   tdm_.add_counters(mem_reads, mem_writes);
   return executed;
 }
@@ -578,7 +433,7 @@ ArchState SuperblockSimulator::unpack_state() const {
     out.trf.write(i, trf_[static_cast<std::size_t>(i)].decode());
   }
   out.tdm = tdm_.unpack();
-  out.pc = pc_;
+  out.pc = pc();
   return out;
 }
 
@@ -593,8 +448,7 @@ void SuperblockSimulator::restore(const ArchState& state) {
     tdm_.poke(addr, BctWord9::encode(w));
   }
   tdm_.set_counters(state.tdm.reads(), state.tdm.writes());
-  pc_ = state.pc;
-  row_ = DecodedImage::row_of(pc_);
+  row_ = static_cast<uint32_t>(DecodedImage::row_of(state.pc));
 }
 
 ternary::Word9 SuperblockSimulator::reg(int index) const {

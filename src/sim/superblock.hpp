@@ -1,20 +1,24 @@
-// Superblock translation tier — the execution backend above the packed
-// SWAR simulator.
+// Superblock translation tier — the single-machine packed ART-9 backend
+// (EngineKind::kSuperblock, and kPacked under its historical name).
 //
-// The packed backend still pays per *instruction*: one budget check, one
-// row chase, one retire increment and (for memory ops) one counter bump
-// per step.  The superblock tier translates the decoded image once more,
-// at load time, into straight-line superblocks (the move libriscv makes
-// in decode_bytecodes.cpp / threaded_bytecodes.hpp):
+// State is the plane-packed SWAR datapath: a packed TRF (nine BctWord9),
+// a packed TDM (sim::PackedMemory) and the image's 24-byte PackedOp rows
+// with pre-packed immediates and links.  An instruction-at-a-time loop
+// over those rows would still pay per *instruction*: one budget check,
+// one row chase, one retire increment and (for memory ops) one counter
+// bump per step.  The superblock tier translates the decoded image once
+// more, at load time, into straight-line superblocks (the move libriscv
+// makes in decode_bytecodes.cpp / threaded_bytecodes.hpp):
 //
 //  * every TIM row gets a block describing the straight-line run that
 //    starts there (so dynamic JALR targets and snapshot restores can
 //    enter anywhere without mid-block entry logic), body length capped
 //    at kMaxBlockInstructions;
 //  * macro-op fusion inside blocks: LUI+LI / LUI+ADDI collapse to one
-//    kConst with the result planes precomputed at translation time,
-//    COMP+BEQ/BNE becomes a kCmpBranch terminator, LOAD+dependent ALU op
-//    becomes one kLoadOp dispatch;
+//    kLui slot carrying the result planes precomputed at translation
+//    time, runs of ADDI on one register to one kAddi with the folded
+//    immediate, COMP+BEQ/BNE becomes a kCmpBranch terminator, LOAD+
+//    dependent ALU op becomes one kLoadOp dispatch;
 //  * retire counts and TDM access counters are precomputed per block and
 //    committed once per block by the terminator, not per instruction;
 //  * block-chained dispatch: each terminator carries the successor block
@@ -49,7 +53,9 @@ namespace art9::sim {
 /// Handler index of the superblock inner loop.  The first 18 values
 /// mirror DispatchKind's data-processing kinds exactly (same numeric
 /// order) so translation of an unfused body op is a cast; the rest are
-/// the memory ops, the fused macro-ops, and the block terminators.
+/// the memory ops, the fused LOAD+ALU pair, and the block terminators.
+/// Constant and ADDI-chain fusion need no kind of their own: they are a
+/// kLui / kAddi whose operands the translation precomputed.
 enum class SuperOpKind : uint8_t {
   kMv,
   kPti,
@@ -71,11 +77,7 @@ enum class SuperOpKind : uint8_t {
   kLi,
   kLoad,
   kStore,
-  // Fused macro-ops (body):
-  kConst,      // LUI+LI / LUI+ADDI — result planes precomputed, retires 2
-  kLoadOp,     // LOAD + dependent register ALU op in one dispatch, retires 2
-  kAddiChain,  // ADDI+ADDI… on one register — immediates folded at
-               // translation time (exact mod 3^9), retire count in kind2
+  kLoadOp,  // fused LOAD + dependent register ALU op in one dispatch, retires 2
   // Terminators (exactly one per block, last op of the block):
   kBranch,       // BEQ/BNE (sense in flags)
   kCmpBranch,    // fused COMP + BEQ/BNE, retires 2
@@ -89,16 +91,15 @@ enum class SuperOpKind : uint8_t {
 /// One slot of the flat superop stream: body ops and terminators share
 /// the layout (22 bytes) so the inner loop walks one array.
 struct SuperOp {
-  uint16_t word_neg = 0;  // imm/link planes, or the fused kConst result
+  uint16_t word_neg = 0;  // imm/link planes, or a fused constant / ADDI chain
   uint16_t word_pos = 0;
   int16_t imm = 0;     // numeric immediate (ADDI/SRI/SLI/JALR/LOAD/STORE)
   SuperOpKind kind = SuperOpKind::kTrap;
   uint8_t ta = 0;
   uint8_t tb = 0;
   int8_t bcond = 0;  // balanced branch condition (kBranch/kCmpBranch)
-  // Fused second op of kLoadOp (restricted to register-only ALU kinds),
-  // or the folded-instruction count of kAddiChain:
-  uint8_t kind2 = 0;  // DispatchKind value, kMv..kComp / chain length
+  // Fused second op of kLoadOp (restricted to register-only ALU kinds):
+  uint8_t kind2 = 0;  // DispatchKind value, kMv..kComp
   uint8_t ta2 = 0;
   uint8_t tb2 = 0;  // always the load's ta (the dependence being fused)
   uint8_t flags = 0;
@@ -109,7 +110,8 @@ struct SuperOp {
 
   static constexpr uint8_t kFlagBne = 1;  // branch sense of kBranch/kCmpBranch
 
-  /// The operand word as planes (immediate, link, or fused constant).
+  /// The operand word as planes (immediate, link, or fused constant /
+  /// folded ADDI chain).
   [[nodiscard]] ternary::BctWord9 word() const noexcept {
     return ternary::BctWord9::from_planes_unchecked(word_neg, word_pos);
   }
@@ -149,9 +151,9 @@ struct SuperblockPlan {
   uint32_t fused_addi_chain = 0;  // chains folded (each covers >= 2 ADDIs)
 };
 
-/// The superblock execution backend.  Architectural state is identical to
-/// PackedFunctionalSimulator (packed TRF + packed TDM); only the run loop
-/// differs, so the backend is bit-identical to the golden model in state
+/// The superblock execution backend: packed TRF + packed TDM, executed by
+/// the block-chained loop with packed_step() (packed_alu.hpp) as the
+/// per-instruction path.  Bit-identical to the golden model in state
 /// (registers, TDM contents *and* access counters, PC) and SimStats —
 /// locked by the conformance suite and tests/sim/superblock_test.cpp.
 class SuperblockSimulator {
@@ -174,7 +176,9 @@ class SuperblockSimulator {
   /// instruction.
   SimStats run(uint64_t max_instructions = 100'000'000);
 
-  [[nodiscard]] int64_t pc() const noexcept { return pc_; }
+  /// Row and PC are in bijection (every row carries its balanced
+  /// address), so the fetch row is the single source of truth.
+  [[nodiscard]] int64_t pc() const noexcept { return prows_[row_].pc; }
 
   /// The pre-decoded image this simulator executes.
   [[nodiscard]] const DecodedImage& image() const noexcept { return *image_; }
@@ -182,17 +186,26 @@ class SuperblockSimulator {
   /// The shared block translation (tests, introspection).
   [[nodiscard]] const SuperblockPlan& plan() const noexcept { return *plan_; }
 
-  /// Inspection-boundary conversions, mirroring the packed backend.
+  /// Inspection-boundary conversions: decode the packed state into the
+  /// reference representation (registers, TDM contents + counters, PC),
+  /// and re-pack one (snapshot restore).  restore(unpack_state()) is an
+  /// exact round trip, access counters included.
   [[nodiscard]] ArchState unpack_state() const;
   void restore(const ArchState& state);
 
+  /// Convenience accessors (decode on access).
   [[nodiscard]] ternary::Word9 reg(int index) const;
   [[nodiscard]] int64_t reg_int(int index) const;
+
+  /// Raw packed register (tests, tracing hooks).
+  [[nodiscard]] const ternary::BctWord9& reg_packed(int index) const {
+    return trf_[static_cast<std::size_t>(index)];
+  }
 
  private:
   /// The block-chained fast loop: runs whole blocks until halt, trap,
   /// budget exhaustion, or a block that no longer fits the remaining
-  /// budget.  Returns the instructions executed; commits row_/pc_ and the
+  /// budget.  Returns the instructions executed; commits row_ and the
   /// batched TDM counters at every exit (the trap path included).
   uint64_t run_blocks(uint64_t max_instructions, bool& halted);
 
@@ -201,8 +214,7 @@ class SuperblockSimulator {
   const SuperblockPlan* plan_;   // the image's block translation
   std::array<ternary::BctWord9, isa::kNumRegisters> trf_{};
   PackedMemory tdm_;
-  int64_t pc_ = 0;
-  std::size_t row_ = 0;  // current fetch row, in lock-step with pc_
+  uint32_t row_ = 0;  // current fetch row (the PC derives from it)
 };
 
 }  // namespace art9::sim

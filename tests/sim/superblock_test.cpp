@@ -8,7 +8,9 @@
 //    the two halves of a fused pair and exactly at a block body's end
 //    before a halt/trap terminator (the min_budget entry-clamp edge);
 //  * that a trap in the middle of a block reports the precise faulting
-//    PC, with the committed post-trap state bit-identical to golden.
+//    PC, with the committed post-trap state bit-identical to golden;
+//  * the packed backend's decode-time immediate validation, per-step trap
+//    parity with the reference, and its inspection-boundary accessors.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -19,6 +21,7 @@
 #include "rv32/rv32_assembler.hpp"
 #include "rv32/rv32_superblock.hpp"
 #include "sim/engine.hpp"
+#include "sim/functional_sim.hpp"
 #include "sim/superblock.hpp"
 
 namespace art9::sim {
@@ -259,6 +262,46 @@ TEST(SuperblockTrap, MidBlockTrapReportsPreciseFaultingPc) {
     EXPECT_EQ(run_art9(EngineKind::kSuperblock, program, budget).halt, HaltReason::kMaxCycles)
         << "budget=" << budget;
   }
+}
+
+TEST(SuperblockTrap, UninitialisedFetchStepTrapsLikeReference) {
+  // Fall off the end of a program with no halt on the per-instruction
+  // path: both simulators must throw.
+  isa::Program program;
+  program.code.push_back(isa::Instruction{isa::Opcode::kAddi, 1, 0, ternary::kTritZ, 1});
+  program.entry = 0;
+  FunctionalSimulator reference(program);
+  SuperblockSimulator sim(program);
+  EXPECT_TRUE(reference.step());
+  EXPECT_TRUE(sim.step());
+  EXPECT_THROW(static_cast<void>(reference.step()), SimError);
+  EXPECT_THROW(static_cast<void>(sim.step()), SimError);
+}
+
+TEST(SuperblockDecode, MalformedImmediateThrowsAtDecodeTime) {
+  // ADDI's imm3 range is [-13, 13]; 500 is unencodable.  The decoder must
+  // reject it at image-construction time, not when the instruction first
+  // executes.
+  isa::Program program;
+  program.code.push_back(isa::Instruction{isa::Opcode::kAddi, 1, 0, ternary::kTritZ, 500});
+  program.code.push_back(isa::Instruction::halt());
+  program.entry = 0;
+  EXPECT_THROW(static_cast<void>(decode(program)), SimError);
+  // Same for the other pre-encoded immediate forms.
+  for (isa::Opcode op : {isa::Opcode::kAndi, isa::Opcode::kLui, isa::Opcode::kLi}) {
+    isa::Program p;
+    p.code.push_back(isa::Instruction{op, 1, 0, ternary::kTritZ, 10'000});
+    p.entry = 0;
+    EXPECT_THROW(static_cast<void>(decode(p)), SimError) << isa::mnemonic(op);
+  }
+}
+
+TEST(SuperblockInspection, AccessorsDecodeOnDemand) {
+  SuperblockSimulator sim(isa::assemble("LIMM T1, -4567\nHALT\n"));
+  static_cast<void>(sim.run());
+  EXPECT_EQ(sim.reg_int(1), -4567);
+  EXPECT_EQ(sim.reg(1), ternary::Word9::from_int(-4567));
+  EXPECT_EQ(sim.reg_packed(1), ternary::BctWord9::encode(sim.reg(1)));
 }
 
 // ---------------------------------------------------------------------------

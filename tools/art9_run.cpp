@@ -56,7 +56,8 @@ int usage(bool help = false) {
                "the same 5-stage model on plane-packed words; superblock and\n"
                "rv32_superblock run the block translation tier (fused macro-ops,\n"
                "block-chained dispatch) over the fastest functional datapath of each\n"
-               "ISA; fleet runs the bit-sliced backend (32 machines per plane word) —\n"
+               "ISA, and packed is the superblock engine under its historical name;\n"
+               "fleet runs the bit-sliced backend (32 machines per plane word) —\n"
                "pair it with --lanes N to run N copies of the program as one\n"
                "service cohort, reporting a per-lane outcome summary and exiting\n"
                "with the worst lane's code (--lanes needs --engine=fleet and is\n"
