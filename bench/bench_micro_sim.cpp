@@ -367,12 +367,9 @@ int run_json_report(const std::string& path) {
   bench::heading("rv32 engine steps/s — source Dhrystone (single stream)");
   const double rv32_predecoded = engine_rate(sim::EngineKind::kRv32);
   const double rv32_superblock = engine_rate(sim::EngineKind::kRv32Superblock);
-  const double rv32_packed = engine_rate(sim::EngineKind::kRv32Packed);
   bench::note("rv32 pre-decoded:       " + std::to_string(rv32_predecoded / 1e6) + " M steps/s");
   bench::note("rv32 superblock:        " + std::to_string(rv32_superblock / 1e6) + " M steps/s");
-  bench::note("rv32 packed (21-trit):  " + std::to_string(rv32_packed / 1e6) + " M steps/s");
   bench::note("rv32 superblk / predec: x" + std::to_string(rv32_superblock / rv32_predecoded));
-  bench::note("rv32 packed / predec:   x" + std::to_string(rv32_packed / rv32_predecoded));
 
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
 
@@ -450,11 +447,8 @@ int run_json_report(const std::string& path) {
   json.add("pipeline_packed_vs_pipeline", pipeline > 0.0 ? pipeline_packed / pipeline : 0.0);
   json.add("rv32_predecoded_steps_per_sec", rv32_predecoded);
   json.add("rv32_superblock_steps_per_sec", rv32_superblock);
-  json.add("rv32_packed_steps_per_sec", rv32_packed);
   json.add("rv32_superblock_vs_predecoded",
            rv32_predecoded > 0.0 ? rv32_superblock / rv32_predecoded : 0.0);
-  json.add("rv32_packed_vs_predecoded",
-           rv32_predecoded > 0.0 ? rv32_packed / rv32_predecoded : 0.0);
   json.add("host_hw_concurrency", static_cast<double>(hw));
   json.add("fleet_lanes", static_cast<double>(kFleetLanes));
   json.add("fleet_steps_per_sec", fleet);

@@ -53,8 +53,8 @@ loop:
   }
 
   // The same computation as RV32 assembly on the rv32 kinds — the binary
-  // baseline behind the same facade (rv32_packed holds every value as a
-  // 21-trit plane pair).
+  // baseline behind the same facade (rv32_packed is the rv32 engine under
+  // its historical name).
   const rv32::Rv32Program rv_program = rv32::assemble_rv32(R"(
     li   a0, 100      # counter
     li   a1, 0        # sum

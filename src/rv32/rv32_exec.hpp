@@ -1,24 +1,15 @@
 // Shared execution core of the pre-decoded RV32 backends — the same
 // design move as sim::detail::PipelineModel: one copy of the per-opcode
-// control logic, templated over a Datapath that decides how architectural
-// values are *stored* (host uint32_t arrays for the reference model,
-// ternary plane pairs for PackedRv32Simulator).
-//
-// A Datapath provides:
-//   uint32_t read(unsigned reg) const;           // register read, x0 reads 0
-//   void write(unsigned reg, uint32_t value);    // register write, x0 guarded
-//   uint32_t load(uint32_t address, uint32_t size);            // LE bytes
-//   void store(uint32_t address, uint32_t value, uint32_t size);
-//
-// Both instantiations execute the identical u32-domain semantics, so the
-// packed backend differs from the reference only in representation — the
-// property the conformance suites lock.
+// control logic, force-inlined into both dispatch loops (Rv32Simulator's
+// and the superblock tier's) over detail::HostDatapath (rv32_sim.hpp),
+// the host uint32_t register file and byte RAM.
 #pragma once
 
 #include <cstdint>
 #include <string>
 
 #include "rv32/rv32_decoded_image.hpp"
+#include "rv32/rv32_sim.hpp"
 
 namespace art9::rv32::detail {
 
@@ -36,8 +27,7 @@ namespace art9::rv32::detail {
 /// them.  Returns false when ECALL/EBREAK retires (halt convention).
 /// Throws Rv32SimError on the trap row (`pc` names the faulting address)
 /// and on out-of-range memory traffic.
-template <class Datapath>
-ART9_RV32_FORCE_INLINE bool execute_rv32(Datapath& dp, const Rv32DecodedImage& image,
+ART9_RV32_FORCE_INLINE bool execute_rv32(HostDatapath& dp, const Rv32DecodedImage& image,
                                          const Rv32DecodedOp& op, uint32_t pc, uint32_t& next_pc,
                                          uint32_t& next_row, bool& taken) {
   auto rs1 = [&] { return dp.read(op.rs1); };

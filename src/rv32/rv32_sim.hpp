@@ -12,9 +12,6 @@
 //    of instances can share one immutable image across threads.
 //  * LazyRv32Simulator — the seed decode-on-fetch loop (range check,
 //    modulo and divide per fetch), kept as the differential baseline.
-//
-// A third backend, PackedRv32Simulator (packed_rv32_sim.hpp), runs the
-// same ISA with its registers and data memory held as ternary plane pairs.
 #pragma once
 
 #include <array>

@@ -172,7 +172,7 @@ HttpResponse SimulationServer::post_job(const HttpRequest& request) {
     const bool rv32_image = image->index() == 1;
 
     // "engine" takes any sim::parse_engine_kind name of the image's ISA
-    // — art9: lazy | functional | packed | superblock | pipeline |
+    // — art9: lazy | functional | packed | superblock | fleet | pipeline |
     // pipeline_packed; rv32: rv32 | rv32_superblock | rv32_packed —
     // defaulting to the golden functional model of that ISA ("rv32" /
     // "functional"; pick the superblock kinds for throughput).

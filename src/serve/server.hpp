@@ -9,9 +9,11 @@
 //            "deadline_ms", "checkpoint_every", "retries",
 //            "retry_backoff_ms", "slice_steps"}
 //            "engine" is any kind name of the image's ISA (art9: lazy |
-//            functional | packed | superblock | pipeline |
+//            functional | packed | superblock | fleet | pipeline |
 //            pipeline_packed; rv32: rv32 | rv32_superblock |
-//            rv32_packed), defaulting per ISA to the golden model
+//            rv32_packed; packed and rv32_packed are the historical
+//            names of superblock and rv32), defaulting per ISA to the
+//            golden model
 //            -> 202 {"job": id}   (or a structured 429 admission reject)
 //   GET    /v1/jobs/{id}    -> status/result JSON; the six JobOutcomes
 //            carry the exact exit codes art9-run maps them to

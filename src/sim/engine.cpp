@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "rv32/packed_rv32_sim.hpp"
 #include "rv32/rv32_superblock.hpp"
 #include "sim/fleet.hpp"
 #include "sim/functional_sim.hpp"
@@ -263,13 +262,13 @@ class PipelineEngine final : public Engine {
   Sim sim_;
 };
 
-/// The RV32 baseline backends behind the same contract.  One template
-/// serves both datapaths: Sim is rv32::Rv32Simulator (kRv32, host words)
-/// or rv32::PackedRv32Simulator (kRv32Packed, PackedWord<21> plane
-/// pairs).  The wrapped simulators already carry the observer hook in
-/// their native loop (guarded by one branch per retire, exactly the
-/// zero-cost-when-unset contract), so the facade only adapts the event
-/// type and renumbers the stream from each installation.
+/// The RV32 baseline backends behind the same contract.  Sim is
+/// rv32::Rv32Simulator (kRv32, and kRv32Packed under its historical name)
+/// or rv32::Rv32SuperblockSimulator (kRv32Superblock).  The wrapped
+/// simulators already carry the observer hook in their native loop
+/// (guarded by one branch per retire, exactly the zero-cost-when-unset
+/// contract), so the facade only adapts the event type and renumbers the
+/// stream from each installation.
 template <class Sim, EngineKind Kind>
 class Rv32Engine final : public Engine {
  public:
@@ -356,7 +355,7 @@ std::unique_ptr<Engine> make_engine(EngineKind kind,
           Rv32Engine<rv32::Rv32SuperblockSimulator, EngineKind::kRv32Superblock>>(std::move(image),
                                                                                   options);
     case EngineKind::kRv32Packed:
-      return std::make_unique<Rv32Engine<rv32::PackedRv32Simulator, EngineKind::kRv32Packed>>(
+      return std::make_unique<Rv32Engine<rv32::Rv32Simulator, EngineKind::kRv32Packed>>(
           std::move(image), options);
     default:
       throw std::invalid_argument("make_engine: ART-9 kind needs a DecodedImage");

@@ -10,9 +10,9 @@
 //     — kPacked names the same engine — the bit-sliced fleet, and the
 //     cycle-accurate pipeline on the reference or the plane-packed
 //     datapath), and
-//   * the three RV32 kinds (pre-decoded dispatch, the superblock
-//     translation tier over it, and the PackedWord<21> plane-pair
-//     datapath of PackedRv32Simulator),
+//   * the three RV32 kinds (pre-decoded dispatch and the superblock
+//     translation tier over it — kRv32Packed names the pre-decoded
+//     engine),
 //
 // behind one contract:
 //
@@ -31,7 +31,7 @@
 //    only leave their native hot loop (e.g. the superblock threaded
 //    dispatch) when an observer is installed.
 //
-// New backends (wider packed words, another ISA) drop in as a new
+// New backends (another datapath, another ISA) drop in as a new
 // EngineKind + factory case; no consumer changes.
 #pragma once
 
@@ -64,7 +64,7 @@ enum class EngineKind : uint8_t {
   kPackedPipeline,  // the same 5-stage control logic over plane-packed words
   kRv32,            // RV32 baseline, pre-decoded dispatch (reference model)
   kRv32Superblock,  // RV32 superblock translation tier (fused macro-ops)
-  kRv32Packed,      // RV32 on the ternary datapath: PackedWord<21> TRF + RAM
+  kRv32Packed,      // the kRv32 engine under its historical name
   kFleet,           // bit-sliced fleet: 32 ART-9 machines per plane word
 };
 

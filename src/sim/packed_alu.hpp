@@ -6,7 +6,8 @@
 // Users:
 //  * packed_step() — SuperblockSimulator::step() on its packed TRF/TDM
 //    and FleetSimulator::step_lane() on one lane of the transposed state;
-//  * the packed pipeline's EX stage (PackedPipelineDatapath::alu);
+//  * the packed pipeline's datapath (PackedPipelineDatapath: the EX TALU,
+//    the TDM row and the JALR target);
 //  * the superblock tier's threaded handlers (one per
 //    ART9_PACKED_ALU_KINDS entry) and its fused kLoadOp.
 // The fleet's bit-sliced cells (fleet.cpp) expand the same kind list.

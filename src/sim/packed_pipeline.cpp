@@ -2,19 +2,14 @@
 
 #include <utility>
 
-#include "sim/packed_alu.hpp"
-
 namespace art9::sim {
 namespace detail {
 
 using Word = PackedPipelineDatapath::Word;
 
 Word PackedPipelineDatapath::alu(const DecodedOp& dop, const Word& a, const Word& b) const {
-  // The shared packed TALU cells (packed_alu.hpp); BctWord9 <->
-  // PackedWord<9> conversions are free plane copies.
   const PackedOp& op = packed(dop);
-  return ternary::packed::from_bct(
-      packed_alu(op.kind, ternary::packed::to_bct(a), ternary::packed::to_bct(b), op));
+  return packed_alu(op.kind, a, b, op);
 }
 
 ArchState PackedPipelineDatapath::unpack_state() const {
@@ -29,8 +24,7 @@ ArchState PackedPipelineDatapath::unpack_state() const {
 
 void PackedPipelineDatapath::load_state(const ArchState& s) {
   for (int i = 0; i < isa::kNumRegisters; ++i) {
-    trf_[static_cast<std::size_t>(i)] =
-        ternary::packed::from_bct(ternary::BctWord9::encode(s.trf.read(i)));
+    trf_[static_cast<std::size_t>(i)] = Word::encode(s.trf.read(i));
   }
   tdm_ = PackedMemory{};
   for (int64_t addr = -ternary::Word9::kMaxValue; addr <= ternary::Word9::kMaxValue; ++addr) {

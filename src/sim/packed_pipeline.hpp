@@ -2,11 +2,12 @@
 // 5-stage control logic.
 //
 // Instantiates the shared detail::PipelineModel (pipeline_model.hpp) with
-// a datapath whose every latched payload is a ternary::packed::PackedWord<9>
-// plane pair: a packed TRF (nine plane-pair words), a packed TDM
+// a datapath whose every latched payload is a ternary::BctWord9 plane
+// pair: a packed TRF (nine plane-pair words), a packed TDM
 // (sim::PackedMemory rows, identical access accounting) and the image's
 // 24-byte PackedOp rows supplying pre-packed immediates and link words.
-// The forwarding muxes, the one-trit condition bypass and the EX TALU all
+// The forwarding muxes, the one-trit condition bypass and the EX TALU
+// (packed_alu.hpp, the cells the superblock tier and the fleet run) all
 // operate on planes — no std::array<Trit, 9> is touched between reset and
 // halt; conversion to the reference representation happens only at the
 // inspection boundary (state(), reg()).
@@ -25,6 +26,7 @@
 #include <memory>
 
 #include "isa/program.hpp"
+#include "sim/packed_alu.hpp"
 #include "sim/pipeline_model.hpp"
 #include "ternary/bct.hpp"
 #include "ternary/packed.hpp"
@@ -32,11 +34,11 @@
 namespace art9::sim {
 namespace detail {
 
-/// Packed datapath policy: PackedWord<9> latched payloads, a packed TRF
-/// and PackedMemory TDM, and the branchless plane/table TALU.
+/// Packed datapath policy: BctWord9 latched payloads, a packed TRF and
+/// PackedMemory TDM, and the branchless plane/table TALU.
 class PackedPipelineDatapath {
  public:
-  using Word = ternary::packed::PackedWord<9>;
+  using Word = ternary::BctWord9;
 
   explicit PackedPipelineDatapath(const DecodedImage& image)
       : rows_(&image.row(0)), prows_(image.packed_rows()) {
@@ -57,10 +59,10 @@ class PackedPipelineDatapath {
   }
 
   [[nodiscard]] Word mem_load(const Word& address) noexcept {
-    return ternary::packed::from_bct(tdm_.read_row(Word::row_of(address.to_int())));
+    return tdm_.read_row(packed_tdm_row(address, 0));
   }
   void mem_store(const Word& address, const Word& value) noexcept {
-    tdm_.write_row(Word::row_of(address.to_int()), ternary::packed::to_bct(value));
+    tdm_.write_row(packed_tdm_row(address, 0), value);
   }
 
   /// Balanced LST value in {-1, 0, +1} (branch condition compare).
@@ -70,14 +72,11 @@ class PackedPipelineDatapath {
   /// adds, the pre-packed link word, and the JALR target calculator.
   [[nodiscard]] Word alu(const DecodedOp& op, const Word& a, const Word& b) const;
   [[nodiscard]] static Word addr_word(const Word& base, int imm) noexcept {
-    return Word::from_int(Word::wrap(base.to_int() + imm));
+    return ternary::packed::add_int(base, imm);
   }
-  [[nodiscard]] Word link(const DecodedOp& op) const noexcept {
-    const PackedOp& p = packed(op);
-    return Word::from_planes_unchecked(p.word_neg, p.word_pos);
-  }
+  [[nodiscard]] Word link(const DecodedOp& op) const noexcept { return packed(op).word(); }
   [[nodiscard]] static int64_t jalr_target(const Word& base, int imm) noexcept {
-    return Word::wrap(base.to_int() + imm);
+    return packed_jalr_target(base, imm);
   }
 
   /// Inspection-boundary conversion: decode the packed state into the
@@ -128,7 +127,9 @@ class PackedPipelineSimulator : public detail::PipelineModel<detail::PackedPipel
   [[nodiscard]] ternary::Word9 reg(int index) const {
     return datapath().reg_packed(index).decode();
   }
-  [[nodiscard]] int64_t reg_int(int index) const { return datapath().reg_packed(index).to_int(); }
+  [[nodiscard]] int64_t reg_int(int index) const {
+    return ternary::packed::to_int(datapath().reg_packed(index));
+  }
 };
 
 }  // namespace art9::sim

@@ -8,7 +8,7 @@
 //    (registers, TDM contents *and* access counters, PC) and SimStats;
 //  * the pipeline kinds match ArchState, retired-instruction count and
 //    halt reason (their cycle accounting legitimately differs);
-//  * every rv32 kind (pre-decoded reference, PackedWord<21> datapath) is
+//  * every rv32 kind (pre-decoded reference, superblock tier) is
 //    bit-identical to the seed LazyRv32Simulator in Rv32ArchState
 //    (x-registers, every RAM byte, PC) and run statistics;
 //  * budget exhaustion reports HaltReason::kMaxCycles on every kind;
@@ -124,10 +124,10 @@ const std::array<std::string, 7>& opcode_corpus() {
 /// RV32 mirror of opcode_corpus(): collectively executes all 48 RV32I+M
 /// instructions — both branch polarities per condition, sub-word memory
 /// traffic with sign extension, JAL/JALR linkage, LUI/AUIPC, FENCE, the
-/// M-extension corner cases, both halt conventions, and the never-halts
-/// budget path.
-const std::array<std::string, 6>& rv32_opcode_corpus() {
-  static const std::array<std::string, 6> kPrograms = {
+/// M-extension corner cases, both halt conventions, the never-halts
+/// budget path, and unaligned accesses that straddle a word boundary.
+const std::array<std::string, 7>& rv32_opcode_corpus() {
+  static const std::array<std::string, 7> kPrograms = {
       // ALU reg-reg + reg-imm, LUI/AUIPC.
       R"(
         li    a0, 100
@@ -238,6 +238,38 @@ const std::array<std::string, 6>& rv32_opcode_corpus() {
       )",
       // Never halts: the budget path must report kMaxCycles identically.
       "loop:\n  addi t0, t0, 1\n  j loop\n",
+      // Unaligned, word-straddling data traffic: sub-word stores that
+      // overlap, a halfword across a word boundary, an unaligned word.
+      R"(
+      .data
+      .org 128
+      words: .word -1, 0x7FFFFFFF, 0x80000000
+      .text
+        li   a0, 128
+        lw   a1, 0(a0)
+        lw   a2, 4(a0)
+        lw   a3, 8(a0)
+        lb   t0, 0(a0)
+        lbu  t1, 0(a0)
+        lh   t2, 2(a0)
+        lhu  t3, 2(a0)
+        lb   t4, 11(a0)
+        sb   a1, 64(a0)
+        sb   a2, 65(a0)
+        sh   a1, 66(a0)
+        sh   a3, 68(a0)
+        sw   a1, 72(a0)
+        lw   s0, 64(a0)
+        lw   s1, 68(a0)
+        lw   s2, 72(a0)
+        sh   a1, 79(a0)    ; crosses a word boundary
+        lh   s3, 79(a0)
+        sw   a2, 81(a0)    ; unaligned word spanning two words
+        lw   s4, 81(a0)
+        lw   s5, 76(a0)
+        lw   s6, 80(a0)
+        ebreak
+      )",
   };
   return kPrograms;
 }

@@ -2,9 +2,9 @@
 // operation must agree, lane by lane, with the scalar BctWord9 /
 // packed:: reference kernels, and a write to lane i must never perturb
 // lane j.  Round trips are locked against both the Trit-array Word9 and
-// the plane-packed BctWord9/PackedWord<9> representations; add, sub,
-// compare and the variable shifts run randomized 32-lane sweeps against
-// the scalar datapath.
+// the plane-packed BctWord9 representation; add, sub, compare and the
+// variable shifts run randomized 32-lane sweeps against the scalar
+// datapath.
 #include "ternary/bitsliced.hpp"
 
 #include <gtest/gtest.h>
@@ -49,12 +49,12 @@ TEST(Bitsliced, BroadcastRoundTripsEveryWordExhaustive) {
     for (unsigned lane : {0u, 15u, 31u}) {
       const BctWord9 back = bs::extract_lane(s, lane);
       EXPECT_EQ(back, w);
-      // The untransposed planes are exactly the PackedWord/BctWord9
-      // planes, and the Trit-array view agrees.
+      // The untransposed planes are exactly the BctWord9 planes, and the
+      // Trit-array view agrees.
       EXPECT_EQ(back.neg_plane(), w.neg_plane());
       EXPECT_EQ(back.pos_plane(), w.pos_plane());
       EXPECT_EQ(back.decode(), Word9::from_int(v));
-      EXPECT_EQ(back.decode(), pk::PackedWord<9>::from_int(v).decode());
+      EXPECT_EQ(back.decode(), pk::from_int(v).decode());
     }
   }
 }

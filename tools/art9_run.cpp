@@ -63,8 +63,8 @@ int usage(bool help = false) {
                "with the worst lane's code (--lanes needs --engine=fleet and is\n"
                "incompatible with the checkpoint/retry/fault flags); --trace and the\n"
                "microarchitecture switches apply to the pipeline engines only.\n"
-               "The rv32 engines assemble RV32I(+M) source (rv32_packed holds its words\n"
-               "as 21-trit plane pairs) and dump x-registers / RAM words.\n"
+               "The rv32 engines assemble RV32I(+M) source (rv32_packed is the rv32\n"
+               "engine under its historical name) and dump x-registers / RAM words.\n"
                "--deadline-ms / --checkpoint-every / --retries wire the SimulationService\n"
                "per-job controls; --fault-at / --fault-seed inject a deterministic\n"
                "transient fault (a recovery drill: pair with --checkpoint-every and\n"
