@@ -1,7 +1,7 @@
 // serve_demo — drive the art9-serve HTTP API end to end: upload a
 // program twice (the second is a content-hash cache hit), run it as a
-// job, poll to the result, cancel a long-running job, and read the
-// metrics.
+// job, poll to the result, run a native rv32 job and print its state
+// digest, cancel a long-running job, and read the metrics.
 //
 //   serve_demo                      self-contained: starts an in-process
 //                                   SimulationServer on an ephemeral port
@@ -37,6 +37,15 @@ constexpr const char* kSumProgram = R"(
 // Never halts — the job to cancel.
 constexpr const char* kSpinProgram = "loop:\n  ADDI T1, 1\n  JAL T0, loop\n";
 
+// Native rv32: one word stored into the 1 MiB data RAM.
+constexpr const char* kRv32Program = R"(
+    li   a0, 256
+    li   a1, -456
+    sw   a1, 0(a0)
+    lw   a2, 0(a0)
+    ebreak
+)";
+
 void show(const char* label, const art9::serve::HttpResponse& response) {
   std::printf("-- %s -> %d\n%s", label, response.status, response.body.c_str());
 }
@@ -50,6 +59,24 @@ uint64_t job_id_of(const art9::serve::HttpResponse& response) {
 std::string image_id_of(const art9::serve::HttpResponse& response) {
   // {"id": "16 hex digits", ...
   return response.body.substr(8, 16);
+}
+
+/// Polls GET `path` until the job is done; returns the last response.
+art9::serve::HttpResponse await_done(art9::serve::HttpClient& client, const std::string& path) {
+  art9::serve::HttpResponse status;
+  for (int poll = 0; poll < 2000; ++poll) {
+    status = client.get(path);
+    if (status.body.find("\"state\": \"done\"") != std::string::npos) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return status;
+}
+
+/// The 16 hex digits of a finished body's state_digest; empty if absent.
+std::string digest_of(const art9::serve::HttpResponse& response) {
+  const std::string key = "\"state_digest\": \"";
+  const std::size_t at = response.body.find(key);
+  return at == std::string::npos ? std::string() : response.body.substr(at + key.size(), 16);
 }
 
 }  // namespace
@@ -96,30 +123,33 @@ int main(int argc, char** argv) {
         "/v1/jobs", "{\"image\": \"" + image + "\", \"engine\": \"functional\"}");
     show("POST /v1/jobs", submitted);
     if (submitted.status != 202) return 1;
-    const std::string job_path = "/v1/jobs/" + std::to_string(job_id_of(submitted));
-    art9::serve::HttpResponse status;
-    for (int poll = 0; poll < 2000; ++poll) {
-      status = client.get(job_path);
-      if (status.body.find("\"state\": \"done\"") != std::string::npos) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    show("GET job (done)", status);
+    show("GET job (done)", await_done(client, "/v1/jobs/" + std::to_string(job_id_of(submitted))));
 
-    // 3. Cancel: a program that never halts, cut off cooperatively.
+    // 3. A native rv32 job: its state_digest hashes the sparse snapshot
+    //    of the final registers and 1 MiB RAM, rendered once at resolve.
+    const auto rv32_upload = client.post("/v1/images?format=rv32", kRv32Program);
+    show("POST /v1/images?format=rv32", rv32_upload);
+    const auto rv32_submitted = client.post(
+        "/v1/jobs", "{\"image\": \"" + image_id_of(rv32_upload) +
+                        "\", \"engine\": \"rv32_superblock\"}");
+    if (rv32_submitted.status != 202) return 1;
+    const auto rv32_done =
+        await_done(client, "/v1/jobs/" + std::to_string(job_id_of(rv32_submitted)));
+    show("GET rv32 job (done)", rv32_done);
+    const std::string digest = digest_of(rv32_done);
+    if (digest.empty()) return 1;
+    std::printf("rv32 state_digest: %s\n", digest.c_str());
+
+    // 4. Cancel: a program that never halts, cut off cooperatively.
     const auto spin = client.post("/v1/images?format=art9", kSpinProgram);
     const auto spinning = client.post(
         "/v1/jobs", "{\"image\": \"" + image_id_of(spin) +
                         "\", \"engine\": \"functional\", \"slice_steps\": 10000}");
     const std::string spin_path = "/v1/jobs/" + std::to_string(job_id_of(spinning));
     show("DELETE spinning job", client.del(spin_path));
-    for (int poll = 0; poll < 2000; ++poll) {
-      status = client.get(spin_path);
-      if (status.body.find("\"state\": \"done\"") != std::string::npos) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    show("GET cancelled job", status);
+    show("GET cancelled job", await_done(client, spin_path));
 
-    // 4. The service's own view of all of the above.
+    // 5. The service's own view of all of the above.
     show("GET /v1/metrics", client.get("/v1/metrics"));
 
     if (shutdown_after) show("POST /v1/shutdown", client.post("/v1/shutdown", ""));

@@ -1,5 +1,6 @@
 #include "fuzz/harness.hpp"
 
+#include <algorithm>
 #include <optional>
 #include <random>
 #include <sstream>
@@ -492,19 +493,34 @@ std::optional<std::string> check_raw_case(ByteReader& in) {
 // Mode 4 — snapshot codec: mutated blobs must reject-or-round-trip.
 // ===========================================================================
 
-/// Mirror of the codec's trailing FNV-1a 64 (sim/snapshot.cpp): re-stamps
-/// the checksum after a deliberate structural edit so the *field*
-/// validation behind the integrity check is what the case exercises.
+/// Re-stamps the codec's trailing FNV-1a 64 after a deliberate structural
+/// edit so the *field* validation behind the integrity check is what the
+/// case exercises.
 void restamp_checksum(std::vector<uint8_t>& blob) {
   if (blob.size() < 8) return;
-  uint64_t h = 14695981039346656037ULL;
-  for (std::size_t i = 0; i + 8 < blob.size(); ++i) {
-    h ^= blob[i];
-    h *= 1099511628211ULL;
+  const uint64_t h = sim::fnv1a_64(blob.data(), blob.size() - 8);
+  for (std::size_t b = 0; b < 8; ++b) blob[blob.size() - 8 + b] = static_cast<uint8_t>(h >> (8 * b));
+}
+
+/// Where each (u32 index, payload) entry of a genuine blob's sparse
+/// memory table starts, plus where the last one ends.  ART-9 TDM rows
+/// carry an i16; rv32 RAM chunks carry min(64, size - 64 * index) bytes.
+std::vector<std::size_t> sparse_entry_bounds(const std::vector<uint8_t>& blob, bool rv32) {
+  const auto le = [&blob](std::size_t at, std::size_t bytes) {
+    uint64_t v = 0;
+    for (std::size_t b = 0; b < bytes; ++b) v |= static_cast<uint64_t>(blob[at + b]) << (8 * b);
+    return v;
+  };
+  // After the 11-byte header — ART-9: i64 pc, 9 x i16 registers, two u64
+  // counters; rv32: u32 pc, 32 x u32 registers, u64 RAM size.
+  const std::size_t count_at = rv32 ? 11 + 4 + 128 + 8 : 11 + 8 + 18 + 16;
+  const uint64_t ram_size = rv32 ? le(count_at - 8, 8) : 0;
+  std::vector<std::size_t> bounds{count_at + 4};
+  for (uint64_t entries = le(count_at, 4); entries > 0; --entries) {
+    const std::size_t at = bounds.back();
+    bounds.push_back(at + 4 + (rv32 ? std::min<uint64_t>(64, ram_size - 64 * le(at, 4)) : 2));
   }
-  for (int b = 0; b < 8; ++b) {
-    blob[blob.size() - 8 + static_cast<std::size_t>(b)] = static_cast<uint8_t>(h >> (8 * b));
-  }
+  return bounds;
 }
 
 /// What the oracle demands of deserialize_snapshot on the mutated blob.
@@ -574,8 +590,35 @@ std::optional<std::string> check_snapshot_case(ByteReader& in) {
       restamp_checksum(mutated);
       message = "trailing";
       break;
-    case 7:  // ISA-specific field violation behind a valid checksum
-      if (use_rv32) {
+    case 7: {  // ISA-specific field violation behind a valid checksum
+      const std::vector<std::size_t> bounds = sparse_entry_bounds(blob, use_rv32);
+      const std::size_t entries = bounds.size() - 1;
+      const auto at = [&mutated, &bounds](std::size_t k) {
+        return mutated.begin() + static_cast<std::ptrdiff_t>(bounds[k]);
+      };
+      const uint8_t pick = in.u8() % 4;
+      const std::size_t e = in.u8();
+      if (pick == 1 && entries >= 1) {
+        // One sparse entry's payload zeroed: the canonical form omits it.
+        const std::size_t k = e % entries;
+        std::fill(at(k) + 4, at(k + 1), uint8_t{0});
+        message = "not canonical";
+      } else if (pick == 2 && entries >= 2) {
+        // Two adjacent sparse entries swapped: indices must ascend.
+        const std::size_t k = e % (entries - 1);
+        std::rotate(at(k), at(k + 1), at(k + 2));
+        message = "out of order";
+      } else if (pick == 3 && entries >= 1) {
+        // One sparse entry repeated, the count bumped to match: a
+        // duplicate index is out of order too.
+        const std::size_t k = e % entries;
+        mutated.insert(at(k + 1), blob.begin() + static_cast<std::ptrdiff_t>(bounds[k]),
+                       blob.begin() + static_cast<std::ptrdiff_t>(bounds[k + 1]));
+        for (std::size_t b = 0; b < 4; ++b) {
+          mutated[bounds[0] - 4 + b] = static_cast<uint8_t>((entries + 1) >> (8 * b));
+        }
+        message = "out of order";
+      } else if (use_rv32) {
         // x0 must deserialize as zero: header(11) + u32 pc, then x0.
         mutated[11 + 4 + in.u8() % 4] |= static_cast<uint8_t>(1u << (in.u8() % 8));
         message = "x0";
@@ -587,6 +630,7 @@ std::optional<std::string> check_snapshot_case(ByteReader& in) {
       }
       restamp_checksum(mutated);
       break;
+    }
     default:  // wholly fuzzer-authored bytes: reject-or-round-trip
       mutated.assign(in.u16() % 96, 0);
       for (uint8_t& byte : mutated) byte = in.u8();
@@ -603,16 +647,11 @@ std::optional<std::string> check_snapshot_case(ByteReader& in) {
     if (expectation == CodecExpectation::kReject) {
       return "malformed blob accepted (" + tag.str() + ")";
     }
-    if (mutated == blob) {
-      // The untouched blob must round-trip exactly and stay canonical.
-      if (revived != snap) return "round-trip lost state (" + tag.str() + ")";
-      if (sim::serialize_snapshot(revived) != blob) {
-        return "re-serialization is not canonical (" + tag.str() + ")";
-      }
-    } else if (sim::deserialize_snapshot(sim::serialize_snapshot(revived)) != revived) {
-      // A forged-but-accepted blob need not be canonical bytes (e.g. TDM
-      // rows out of order), but its parsed state must be codec-stable.
-      return "accepted state does not round-trip (" + tag.str() + ")";
+    // The untouched blob must round-trip to the checkpoint state.
+    if (mutated == blob && revived != snap) return "round-trip lost state (" + tag.str() + ")";
+    // Only canonical blobs are accepted: re-serializing reproduces the bytes.
+    if (sim::serialize_snapshot(revived) != mutated) {
+      return "accepted blob is not canonical (" + tag.str() + ")";
     }
   } catch (const sim::SimError& e) {
     const std::string what = e.what();

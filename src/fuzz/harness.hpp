@@ -26,10 +26,11 @@
 //     kinds must throw the same error text, or none.
 //   * mode 4 — snapshot codec: serialize a genuine checkpoint of a
 //     fuzz-chosen ISA/kind/split, mutate the blob (bit flips, truncation,
-//     checksum-re-stamped structural edits, wholly forged bytes), and
-//     demand deserialize_snapshot either throws the precisely named
-//     "snapshot: ..." SimError or accepts a state that is codec-stable
-//     (pristine blobs additionally round-trip bit-identically).
+//     checksum-re-stamped structural edits including sparse-table
+//     violations, wholly forged bytes), and demand deserialize_snapshot
+//     either throws the precisely named "snapshot: ..." SimError or
+//     accepts a canonical blob — one that re-serializes to its own bytes
+//     (pristine blobs additionally round-trip to the checkpoint state).
 //
 // The harness is deliberately libFuzzer-agnostic: fuzz/fuzz_differential.cpp
 // wraps run_fuzz_case as a LLVMFuzzerTestOneInput, and tools/art9_fuzz.cpp

@@ -24,15 +24,6 @@ std::optional<ImageFormat> parse_image_format(std::string_view name) noexcept {
   return std::nullopt;
 }
 
-uint64_t fnv1a_64(const void* data, std::size_t size, uint64_t hash) noexcept {
-  const auto* bytes = static_cast<const uint8_t*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= bytes[i];
-    hash *= 0x100000001b3ull;
-  }
-  return hash;
-}
-
 std::string hex64(uint64_t value) {
   static const char* kDigits = "0123456789abcdef";
   std::string out(16, '0');

@@ -27,6 +27,7 @@
 #include <unordered_map>
 
 #include "sim/engine.hpp"
+#include "sim/snapshot.hpp"
 
 namespace art9::serve {
 
@@ -36,10 +37,9 @@ enum class ImageFormat : uint8_t { kArt9Asm = 0, kRv32Asm = 1, kRv32Translate = 
 [[nodiscard]] std::string_view image_format_name(ImageFormat format) noexcept;
 [[nodiscard]] std::optional<ImageFormat> parse_image_format(std::string_view name) noexcept;
 
-/// 64-bit FNV-1a — the hash behind image ids and result digests.
-inline constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-[[nodiscard]] uint64_t fnv1a_64(const void* data, std::size_t size,
-                                uint64_t hash = kFnvOffset) noexcept;
+/// 64-bit FNV-1a — the hash behind image ids and result digests (one
+/// definition, shared with the snapshot checksum).
+using sim::fnv1a_64;
 
 /// 16 lower-case hex digits.
 [[nodiscard]] std::string hex64(uint64_t value);

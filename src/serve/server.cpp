@@ -46,6 +46,83 @@ double percentile(std::vector<double> samples, double p) {
 
 constexpr std::size_t kLatencyWindow = 4096;
 
+/// `fields` rendered as the continuation of an object left open by a
+/// job's head: `, "k": v, ...}`.
+std::string continuation(const JsonObject& fields) {
+  std::string out = fields.str();
+  out.replace(0, 1, ", ");
+  return out;
+}
+
+/// `{"job": id, "image": ..., "engine": ..., "max_steps": N` — the fields
+/// a job's body opens with, left open for its state.
+std::string job_head(uint64_t id, const std::string& image_id, sim::EngineKind kind,
+                     uint64_t max_steps) {
+  JsonObject head;
+  head.add("job", id);
+  head.add("image", image_id);
+  head.add("engine", std::string(sim::engine_kind_name(kind)));
+  head.add("max_steps", max_steps);
+  std::string out = head.str();
+  out.pop_back();
+  return out;
+}
+
+/// The state of a job still in the service.
+std::string pending_tail(const sim::JobHandle& handle) {
+  JsonObject tail;
+  tail.add("state", handle.started() ? "running" : "queued");
+  return continuation(tail);
+}
+
+/// The finished job's fields, rendered once when it resolves.
+std::string done_tail(const sim::JobResult& result) {
+  JsonObject body;
+  body.add("state", "done");
+  body.add("outcome", std::string(sim::job_outcome_name(result.outcome)));
+  body.add("exit_code", static_cast<int64_t>(outcome_exit_code(result.outcome)));
+  if (!result.error.empty()) body.add("error", result.error);
+  if (result.retries > 0) {
+    body.add("retries", static_cast<uint64_t>(result.retries));
+    body.add("resumed", result.resumed);
+  }
+  if (result.checkpoints > 0) body.add("checkpoints", result.checkpoints);
+  if (result.corrupt_checkpoints > 0) body.add("corrupt_checkpoints", result.corrupt_checkpoints);
+
+  JsonObject stats;
+  stats.add("instructions", result.run.stats.instructions);
+  stats.add("cycles", result.run.stats.cycles);
+  stats.add("halt", std::string(result.run.halt == sim::HaltReason::kHalted ? "halted"
+                                                                            : "max_cycles"));
+  body.add_raw("stats", stats.str());
+
+  // The architectural result, for the deterministic outcomes: a
+  // canonical-snapshot digest (bit-identity is one string compare away)
+  // plus the registers and PC for human consumption.
+  if (result.outcome == sim::JobOutcome::kCompleted ||
+      result.outcome == sim::JobOutcome::kBudgetExhausted) {
+    try {
+      const std::vector<uint8_t> blob = sim::serialize_snapshot(result.run.state);
+      body.add("state_digest", hex64(fnv1a_64(blob.data(), blob.size())));
+      if (result.run.state.is_rv32()) {
+        const auto& rv32 = result.run.state.rv32();
+        body.add("pc", static_cast<uint64_t>(rv32.pc));
+        body.add_raw("registers", json::int_array(rv32.regs));
+      } else {
+        const auto& art9 = result.run.state.art9();
+        body.add("pc", static_cast<int64_t>(art9.pc));
+        std::vector<int64_t> regs;
+        for (int r = 0; r < isa::kNumRegisters; ++r) regs.push_back(art9.trf.read(r).to_int());
+        body.add_raw("registers", json::int_array(regs));
+      }
+    } catch (const std::exception&) {
+      // A state that cannot serialize (should not happen) just omits the
+      // digest; outcome and stats still stand.
+    }
+  }
+  return continuation(body);
+}
+
 }  // namespace
 
 int outcome_exit_code(sim::JobOutcome outcome) noexcept {
@@ -252,12 +329,21 @@ HttpResponse SimulationServer::post_job(const HttpRequest& request) {
     return error_response(500, "submit_failed", e.what());
   }
 
-  // Release the admission reservation and record wall latency when the
-  // job resolves.  The callback runs on a worker (or inline if already
-  // resolved) — it takes only the admission mutex, never blocks.
-  handle.on_complete([this, t0, max_steps](const sim::JobResult&) {
+  JobRecord record{handle, job_head(id, image_id, kind, max_steps), {}};
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    jobs_.emplace(id, std::move(record));
+  }
+
+  // At resolve: release the admission reservation, record wall latency,
+  // and render the finished fields into the record once, dropping its
+  // handle.  Registered only after the record is in jobs_, because a job
+  // that already resolved runs the callback inline, right here.  It runs
+  // on a worker otherwise and takes only the admission mutex.
+  handle.on_complete([this, id, t0, max_steps](const sim::JobResult& result) {
     const double ms =
         std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
+    std::string tail = done_tail(result);
     std::lock_guard<std::mutex> lock(mutex_);
     --active_jobs_;
     inflight_steps_ -= max_steps;
@@ -267,101 +353,40 @@ HttpResponse SimulationServer::post_job(const HttpRequest& request) {
       latency_ms_[latency_next_] = ms;
       latency_next_ = (latency_next_ + 1) % kLatencyWindow;
     }
+    JobRecord& record = jobs_.at(id);
+    record.result = std::move(tail);
+    record.handle = sim::JobHandle();
   });
 
-  JobRecord record{handle, image_id, kind, max_steps};
-  std::string body_json;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    jobs_.emplace(id, record);
-  }
-  body_json = job_json(id, record);
-  return HttpResponse{202, "application/json", body_json + "\n", false};
+  return HttpResponse{202, "application/json", *job_body(id, false), false};
 }
 
-std::string SimulationServer::job_json(uint64_t id, const JobRecord& record) const {
-  JsonObject body;
-  body.add("job", id);
-  body.add("image", record.image_id);
-  body.add("engine", std::string(sim::engine_kind_name(record.kind)));
-  body.add("max_steps", record.max_steps);
-
-  const bool done = record.handle.ready();
-  body.add("state", std::string(done           ? "done"
-                                : record.handle.started() ? "running"
-                                                          : "queued"));
-  if (!done) return body.str();
-
-  const sim::JobResult& result = record.handle.result();
-  body.add("outcome", std::string(sim::job_outcome_name(result.outcome)));
-  body.add("exit_code", static_cast<int64_t>(outcome_exit_code(result.outcome)));
-  if (!result.error.empty()) body.add("error", result.error);
-  if (result.retries > 0) {
-    body.add("retries", static_cast<uint64_t>(result.retries));
-    body.add("resumed", result.resumed);
+std::optional<std::string> SimulationServer::job_body(uint64_t id, bool cancel) {
+  sim::JobHandle pending;
+  std::string body;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = jobs_.find(id);
+    if (it == jobs_.end()) return std::nullopt;
+    const JobRecord& record = it->second;
+    if (!record.result.empty()) return record.head + record.result + "\n";
+    pending = record.handle;
+    body = record.head;
   }
-  if (result.checkpoints > 0) body.add("checkpoints", result.checkpoints);
-  if (result.corrupt_checkpoints > 0) body.add("corrupt_checkpoints", result.corrupt_checkpoints);
-
-  JsonObject stats;
-  stats.add("instructions", result.run.stats.instructions);
-  stats.add("cycles", result.run.stats.cycles);
-  stats.add("halt", std::string(result.run.halt == sim::HaltReason::kHalted ? "halted"
-                                                                            : "max_cycles"));
-  body.add_raw("stats", stats.str());
-
-  // The architectural result, for the deterministic outcomes: a
-  // canonical-snapshot digest (bit-identity is one string compare away)
-  // plus the registers and PC for human consumption.
-  if (result.outcome == sim::JobOutcome::kCompleted ||
-      result.outcome == sim::JobOutcome::kBudgetExhausted) {
-    try {
-      const std::vector<uint8_t> blob = sim::serialize_snapshot(result.run.state);
-      body.add("state_digest", hex64(fnv1a_64(blob.data(), blob.size())));
-      if (result.run.state.is_rv32()) {
-        const auto& rv32 = result.run.state.rv32();
-        body.add("pc", static_cast<uint64_t>(rv32.pc));
-        body.add_raw("registers", json::int_array(rv32.regs));
-      } else {
-        const auto& art9 = result.run.state.art9();
-        body.add("pc", static_cast<int64_t>(art9.pc));
-        std::vector<int64_t> regs;
-        for (int r = 0; r < isa::kNumRegisters; ++r) regs.push_back(art9.trf.read(r).to_int());
-        body.add_raw("registers", json::int_array(regs));
-      }
-    } catch (const std::exception&) {
-      // A state that cannot serialize (should not happen) just omits the
-      // digest; outcome and stats still stand.
-    }
-  }
-  return body.str();
+  if (cancel) pending.cancel();
+  return body + pending_tail(pending) + "\n";
 }
 
 HttpResponse SimulationServer::get_job(uint64_t id) {
-  JobRecord record;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = jobs_.find(id);
-    if (it == jobs_.end()) {
-      return error_response(404, "unknown_job", "no job " + std::to_string(id));
-    }
-    record = it->second;
-  }
-  return HttpResponse{200, "application/json", job_json(id, record) + "\n", false};
+  std::optional<std::string> body = job_body(id, false);
+  if (!body) return error_response(404, "unknown_job", "no job " + std::to_string(id));
+  return HttpResponse{200, "application/json", std::move(*body), false};
 }
 
 HttpResponse SimulationServer::delete_job(uint64_t id) {
-  JobRecord record;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = jobs_.find(id);
-    if (it == jobs_.end()) {
-      return error_response(404, "unknown_job", "no job " + std::to_string(id));
-    }
-    record = it->second;
-  }
-  record.handle.cancel();
-  return HttpResponse{202, "application/json", job_json(id, record) + "\n", false};
+  std::optional<std::string> body = job_body(id, true);
+  if (!body) return error_response(404, "unknown_job", "no job " + std::to_string(id));
+  return HttpResponse{202, "application/json", std::move(*body), false};
 }
 
 HttpResponse SimulationServer::get_metrics() {

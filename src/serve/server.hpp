@@ -17,7 +17,8 @@
 //            -> 202 {"job": id}   (or a structured 429 admission reject)
 //   GET    /v1/jobs/{id}    -> status/result JSON; the six JobOutcomes
 //            carry the exact exit codes art9-run maps them to
-//   DELETE /v1/jobs/{id}    -> cooperative cancel (idempotent)
+//   DELETE /v1/jobs/{id}    -> cooperative cancel (idempotent; a
+//            finished job answers 202 with its result unchanged)
 //   GET    /v1/metrics      -> queue depth, admission counters, cache
 //            hit/miss, per-outcome counters, p50/p95 wall latency
 //   POST   /v1/shutdown     -> begin drain; the owning thread's wait()
@@ -27,15 +28,23 @@
 // queued+running jobs) and the total step budget in flight
 // (max_inflight_steps over the sum of admitted budgets): a request the
 // service cannot take is answered with a structured 429 immediately —
-// never queued unboundedly, never hung.  Per-job isolation is the PR 7
-// outcome taxonomy: a trapping or deadline-blown tenant resolves its own
-// job and nothing else.
+// never queued unboundedly, never hung.  Per-job isolation is the
+// service's outcome taxonomy: a trapping or deadline-blown tenant
+// resolves its own job and nothing else.
+//
+// A finished job's result (outcome, stats, state_digest, pc, registers)
+// is rendered once, on the resolving worker; the record then keeps only
+// that text and drops its JobHandle, freeing the final MachineState.  A
+// GET or DELETE of a finished job is a string concatenation, whatever
+// the size of the state.  Records themselves are still kept for the
+// server's lifetime.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -102,11 +111,11 @@ class SimulationServer {
   [[nodiscard]] ImageCache& cache() noexcept { return cache_; }
 
  private:
+  /// A job's body: `head`, then its state — `result` once finished.
   struct JobRecord {
-    sim::JobHandle handle;
-    std::string image_id;
-    sim::EngineKind kind = sim::EngineKind::kFunctional;
-    uint64_t max_steps = 0;
+    sim::JobHandle handle;  // empty once `result` is rendered
+    std::string head;       // `{"job": …, "max_steps": N` — fixed at submit
+    std::string result;     // `, "state": "done", …}` — set once at resolve
   };
 
   HttpResponse post_image(const HttpRequest& request);
@@ -116,7 +125,9 @@ class SimulationServer {
   HttpResponse get_metrics();
   HttpResponse index() const;
 
-  [[nodiscard]] std::string job_json(uint64_t id, const JobRecord& record) const;
+  /// The current body of job `id` (cancelling it first when `cancel`
+  /// and it is still pending); nullopt for an unknown id.
+  [[nodiscard]] std::optional<std::string> job_body(uint64_t id, bool cancel);
 
   Options options_;
   ImageCache cache_;

@@ -22,6 +22,18 @@ std::vector<uint8_t> pinned_to_mode(std::vector<uint8_t> bytes, uint8_t mode) {
   return bytes;
 }
 
+/// A snapshot-mode case forging sparse-table violation `pick` (see
+/// check_snapshot_case strategy 7) into the checkpoint of a generated
+/// rv32 program whose RAM is touched by step 54.
+std::vector<uint8_t> rv32_sparse_violation(uint8_t pick) {
+  std::vector<uint8_t> bytes = {4, 1};
+  for (int b = 0; b < 8; ++b) bytes.push_back(static_cast<uint8_t>(12239131130605509653ull >> (8 * b)));
+  for (const uint8_t tail : {uint8_t{54}, uint8_t{0}, uint8_t{7}, pick, uint8_t{0}}) {
+    bytes.push_back(tail);
+  }
+  return bytes;
+}
+
 /// Minimized repro inputs of every fuzzer-found divergence, kept forever
 /// as fixed regressions (replayable standalone: `art9-fuzz <file>` on
 /// the same bytes).  Empty entries are never added — each one documents
@@ -56,6 +68,14 @@ const std::vector<std::pair<std::string, std::vector<uint8_t>>>& fixed_corpus() 
         18,   0,    6,    1,    0x2A, 0x00,  // BEQ  t6, 0, +2 (fused cmp+branch)
         20,   0,    0,    1,    0x79, 0x00,  // JAL  t0, 0 — halt (not taken)
         20,   0,    0,    1,    0x79, 0x00}},  // JAL t0, 0 — halt (taken)
+      // Pinned coverage (not a bug repro): snapshot-mode strategy 7 on an
+      // rv32 checkpoint that holds touched RAM, forging the two sparse
+      // v2 layout violations the codec must name — a stored chunk zeroed
+      // ("not canonical") and a chunk entry repeated ("out of order").
+      // Layout: mode=4(snapshot), rv32, u64 program seed, split 54,
+      // kind 0, strategy 7, then the violation pick and entry index.
+      {"snapshot v2: zeroed rv32 RAM chunk", rv32_sparse_violation(1)},
+      {"snapshot v2: repeated rv32 RAM chunk", rv32_sparse_violation(3)},
   };
   return kCorpus;
 }

@@ -14,6 +14,7 @@
 #include <thread>
 
 #include "isa/assembler.hpp"
+#include "rv32/rv32_assembler.hpp"
 #include "serve/json.hpp"
 #include "sim/snapshot.hpp"
 
@@ -65,6 +66,12 @@ json::JsonValue await_job(SimulationServer& server, uint64_t id) {
   }
   ADD_FAILURE() << "job " << id << " never resolved";
   return json::JsonValue();
+}
+
+/// fnv1a_64 over the canonical snapshot of `state` — the state_digest.
+std::string digest_of(const sim::MachineState& state) {
+  const std::vector<uint8_t> blob = sim::serialize_snapshot(state);
+  return hex64(fnv1a_64(blob.data(), blob.size()));
 }
 
 TEST(OutcomeExitCode, MirrorsArt9Run) {
@@ -223,8 +230,7 @@ TEST(SimulationServerE2E, LoopbackResultsBitIdenticalToDirectServiceRuns) {
                     sim::RunOptions{2000});
   const sim::JobResult& expected = direct_handle.result();
   ASSERT_EQ(expected.outcome, sim::JobOutcome::kCompleted);
-  const std::vector<uint8_t> blob = sim::serialize_snapshot(expected.run.state);
-  const std::string expected_digest = hex64(fnv1a_64(blob.data(), blob.size()));
+  const std::string expected_digest = digest_of(expected.run.state);
 
   const HttpResponse submitted = client.post(
       "/v1/jobs",
@@ -322,6 +328,58 @@ TEST(SimulationServerE2E, Rv32AndTranslatedImagesRunTheirOwnEngines) {
   EXPECT_EQ(xlat_job.find("registers")->as_array().size(), 9u);
 
   server.stop();
+}
+
+TEST(SimulationServerE2E, Rv32DigestsMatchDirectRunsOnEveryKind) {
+  SimulationServer server;
+  server.start();
+  HttpClient client("127.0.0.1", server.port());
+  const std::string image =
+      body_of(client.post("/v1/images?format=rv32", kRv32Program)).get_string("id", "");
+  ASSERT_EQ(image.size(), 16u);
+
+  // The digest hashes the sparse v2 snapshot of the whole 1 MiB RAM.
+  sim::SimulationService direct(1);
+  for (const sim::EngineKind kind : sim::rv32_engine_kinds()) {
+    const std::string engine(sim::engine_kind_name(kind));
+    const sim::JobHandle direct_handle =
+        direct.submit(rv32::decode(rv32::assemble_rv32(kRv32Program)), kind, sim::RunOptions{1000});
+    const sim::JobResult& expected = direct_handle.result();
+    ASSERT_EQ(expected.outcome, sim::JobOutcome::kCompleted) << engine;
+
+    const HttpResponse submitted = client.post(
+        "/v1/jobs", "{\"image\": \"" + image + "\", \"engine\": \"" + engine + "\"}");
+    ASSERT_EQ(submitted.status, 202) << engine;
+    const json::JsonValue job = await_job(server, body_of(submitted).get_uint64("job", 0));
+    EXPECT_EQ(job.get_string("outcome", ""), "completed") << engine;
+    EXPECT_EQ(job.get_string("state_digest", ""), digest_of(expected.run.state)) << engine;
+  }
+  server.stop();
+}
+
+TEST(SimulationServerRoutes, FinishedJobBodyIsStable) {
+  SimulationServer server;
+  const std::string image =
+      body_of(server.handle(make_request("POST", "/v1/images?format=rv32", kRv32Program)))
+          .get_string("id", "");
+  const uint64_t id = body_of(server.handle(make_request(
+                                  "POST", "/v1/jobs", "{\"image\": \"" + image + "\"}")))
+                          .get_uint64("job", 0);
+  (void)await_job(server, id);
+
+  // Rendered once at resolve: every later GET serves the same bytes, and
+  // DELETE of a finished job is a no-op answering 202 with that body.
+  const std::string target = "/v1/jobs/" + std::to_string(id);
+  const HttpResponse first = server.handle(make_request("GET", target));
+  const HttpResponse second = server.handle(make_request("GET", target));
+  EXPECT_EQ(first.status, 200);
+  EXPECT_NE(first.body.find("\"state_digest\""), std::string::npos);
+  EXPECT_EQ(second.body, first.body);
+  const HttpResponse deleted = server.handle(make_request("DELETE", target));
+  EXPECT_EQ(deleted.status, 202);
+  EXPECT_EQ(deleted.body, first.body);
+  EXPECT_EQ(body_of(server.handle(make_request("GET", target))).get_string("outcome", ""),
+            "completed");
 }
 
 TEST(ImageCache, LruEvictionAgainstTheByteBudget) {

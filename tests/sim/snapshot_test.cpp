@@ -5,12 +5,14 @@
 //
 // Also locks the format itself: serialize -> deserialize is an exact
 // round trip (access counters included), blobs are canonical (equal
-// states produce identical bytes), and every class of malformed blob is
+// states produce identical bytes), the sparse v2 rv32 layout is pinned
+// byte for byte, and every class of malformed or non-canonical blob is
 // rejected with a SimError naming the violation.
 #include "sim/snapshot.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -81,13 +83,18 @@ void expect_same_art9_architecture(const ArchState& got, const ArchState& want,
 /// Re-stamps the trailing FNV-1a checksum after a deliberate edit, so
 /// corruption tests exercise the *structural* validation behind it.
 void restamp(std::vector<uint8_t>& blob) {
-  uint64_t h = 14695981039346656037ULL;
-  for (std::size_t i = 0; i + 8 < blob.size(); ++i) {
-    h ^= blob[i];
-    h *= 1099511628211ULL;
-  }
-  for (int b = 0; b < 8; ++b) blob[blob.size() - 8 + static_cast<std::size_t>(b)] =
-      static_cast<uint8_t>(h >> (8 * b));
+  const uint64_t h = fnv1a_64(blob.data(), blob.size() - 8);
+  for (std::size_t b = 0; b < 8; ++b) blob[blob.size() - 8 + b] = static_cast<uint8_t>(h >> (8 * b));
+}
+
+/// Appends `value` little-endian in `bytes` bytes (golden-blob builder).
+void append_le(std::vector<uint8_t>& out, uint64_t value, std::size_t bytes) {
+  for (std::size_t b = 0; b < bytes; ++b) out.push_back(static_cast<uint8_t>(value >> (8 * b)));
+}
+
+/// Overwrites `bytes` bytes at `at` with `value` little-endian.
+void poke_le(std::vector<uint8_t>& blob, std::size_t at, uint64_t value, std::size_t bytes) {
+  for (std::size_t b = 0; b < bytes; ++b) blob[at + b] = static_cast<uint8_t>(value >> (8 * b));
 }
 
 void expect_rejects(const std::vector<uint8_t>& blob, const std::string& needle) {
@@ -294,6 +301,12 @@ TEST(Snapshot, RejectsCorruptedBlobs) {
   restamp(version);
   expect_rejects(version, "unsupported version");
 
+  // Version 1 stored rv32 RAM densely; no v1 reader is kept.
+  std::vector<uint8_t> v1 = blob;
+  poke_le(v1, 8, 1, 2);
+  restamp(v1);
+  expect_rejects(v1, "unsupported version 1");
+
   // Unknown ISA tag.
   std::vector<uint8_t> isa = blob;
   isa[10] = 9;
@@ -313,6 +326,146 @@ TEST(Snapshot, RejectsCorruptedBlobs) {
   padded.insert(padded.end() - 8, 0x00);
   restamp(padded);
   expect_rejects(padded, "trailing");
+}
+
+TEST(Snapshot, RejectsNonCanonicalTdmRows) {
+  ArchState s;
+  s.tdm.poke(5, ternary::Word9::from_int(7));
+  s.tdm.poke(9, ternary::Word9::from_int(-3));
+  const std::vector<uint8_t> blob = serialize_snapshot(MachineState{s});
+  // Row table: header(11) + i64 pc + 9 x i16 + 2 x u64 counters, then
+  // u32 count and (u32 row, i16 value) entries.
+  constexpr std::size_t kRowTable = 11 + 8 + 18 + 16 + 4;
+  ASSERT_EQ(blob.size(), kRowTable + 2 * 6 + 8);
+
+  std::vector<uint8_t> swapped = blob;
+  std::rotate(swapped.begin() + kRowTable, swapped.begin() + kRowTable + 6,
+              swapped.begin() + kRowTable + 12);
+  restamp(swapped);
+  expect_rejects(swapped, "out of order");
+
+  std::vector<uint8_t> zero = blob;
+  poke_le(zero, kRowTable + 4, 0, 2);
+  restamp(zero);
+  expect_rejects(zero, "not canonical");
+}
+
+// ===========================================================================
+// The sparse rv32 RAM (format v2).
+// ===========================================================================
+
+/// 130 bytes of RAM: chunk 0 (64 bytes, non-zero), chunk 1 (64 bytes,
+/// all zero, so omitted) and the 2-byte partial chunk 2 (non-zero).
+rv32::Rv32ArchState small_rv32_state() {
+  rv32::Rv32ArchState s;
+  s.pc = 0x104;
+  s.regs[1] = 0x11223344;
+  s.regs[31] = 0xFFFFFFFF;
+  s.ram.assign(130, 0);
+  s.ram[0] = 0xAB;
+  s.ram[129] = 0xCD;
+  return s;
+}
+
+/// Byte offsets in the small_rv32_state() blob.
+constexpr std::size_t kRamSizeAt = 11 + 4 + 32 * 4;
+constexpr std::size_t kChunkCountAt = kRamSizeAt + 8;
+constexpr std::size_t kChunk0At = kChunkCountAt + 4;
+constexpr std::size_t kChunk2At = kChunk0At + 4 + 64;
+
+TEST(Snapshot, PinsTheV2Rv32Layout) {
+  std::vector<uint8_t> want = {'A', 'R', 'T', '9', 'S', 'N', 'A', 'P'};
+  append_le(want, 2, 2);      // version
+  append_le(want, 1, 1);      // ISA tag: rv32
+  append_le(want, 0x104, 4);  // pc
+  append_le(want, 0, 4);      // x0
+  append_le(want, 0x11223344, 4);
+  for (int r = 2; r < 31; ++r) append_le(want, 0, 4);
+  append_le(want, 0xFFFFFFFF, 4);
+  append_le(want, 130, 8);  // RAM size
+  append_le(want, 2, 4);    // chunk count: 0 and 2 (1 is all zero)
+  append_le(want, 0, 4);    // chunk 0: 64 bytes
+  want.push_back(0xAB);
+  want.insert(want.end(), 63, 0);
+  append_le(want, 2, 4);  // chunk 2: the last 130 - 128 = 2 bytes
+  want.push_back(0x00);
+  want.push_back(0xCD);
+  append_le(want, 0xc3300ad5bc529207ull, 8);  // FNV-1a 64 of the above
+
+  const std::vector<uint8_t> blob = serialize_snapshot(MachineState{small_rv32_state()});
+  EXPECT_EQ(blob, want);
+  EXPECT_EQ(deserialize_snapshot(blob), MachineState{small_rv32_state()});
+}
+
+TEST(Snapshot, RoundTripsAPartialLastChunk) {
+  rv32::Rv32ArchState s;
+  s.ram.assign(200, 0);  // 3 full chunks and an 8-byte one
+  s.ram[70] = 1;
+  s.ram[199] = 7;
+  s.regs[5] = 42;
+  const MachineState state{s};
+  const std::vector<uint8_t> blob = serialize_snapshot(state);
+  EXPECT_EQ(deserialize_snapshot(blob), state);
+  EXPECT_EQ(serialize_snapshot(deserialize_snapshot(blob)), blob);
+}
+
+TEST(Snapshot, BlobSizeFollowsTouchedRamNotRamSize) {
+  // The default 1 MiB RAM with one word stored: one chunk travels.
+  std::unique_ptr<Engine> engine = make_engine(
+      EngineKind::kRv32, rv32::assemble_rv32("li a0, 4096\nli a1, 0x1234\nsw a1, 0(a0)\nebreak\n"));
+  ASSERT_EQ(engine->run({100}).halt, HaltReason::kHalted);
+  const MachineState state = engine->state();
+  ASSERT_EQ(state.rv32().ram.size(), 1u << 20);
+  const std::vector<uint8_t> blob = serialize_snapshot(state);
+  EXPECT_LT(blob.size(), 1024u);
+  EXPECT_EQ(deserialize_snapshot(blob), state);
+}
+
+TEST(Snapshot, RejectsNonCanonicalRamChunks) {
+  const std::vector<uint8_t> blob = serialize_snapshot(MachineState{small_rv32_state()});
+
+  std::vector<uint8_t> zeroed = blob;  // chunk 0 present but all zero
+  zeroed[kChunk0At + 4] = 0;
+  restamp(zeroed);
+  expect_rejects(zeroed, "rv32 RAM chunk 0 is all zero (not canonical)");
+
+  std::vector<uint8_t> duplicate = blob;  // chunk 2 relabelled as chunk 0
+  poke_le(duplicate, kChunk2At, 0, 4);
+  restamp(duplicate);
+  expect_rejects(duplicate, "rv32 RAM chunk 0 out of order");
+
+  rv32::Rv32ArchState both = small_rv32_state();
+  both.ram[64] = 1;  // chunk 1 now travels too
+  std::vector<uint8_t> swapped = serialize_snapshot(MachineState{both});
+  std::rotate(swapped.begin() + kChunk0At, swapped.begin() + kChunk0At + 68,
+              swapped.begin() + kChunk0At + 136);
+  restamp(swapped);
+  expect_rejects(swapped, "rv32 RAM chunk 0 out of order");
+
+  std::vector<uint8_t> beyond = blob;  // ceil(130 / 64) = 3 slots: 0..2
+  poke_le(beyond, kChunk2At, 3, 4);
+  restamp(beyond);
+  expect_rejects(beyond, "rv32 RAM chunk 3 out of range");
+
+  std::vector<uint8_t> counted = blob;
+  poke_le(counted, kChunkCountAt, 4, 4);
+  restamp(counted);
+  expect_rejects(counted, "rv32 RAM chunk count 4 exceeds 3");
+}
+
+TEST(Snapshot, RejectsAnOverCapRamSizeBeforeAllocating) {
+  // Just past the 32-bit address space, in a blob that stops right after
+  // the size field: the cap check must fire before any allocation or
+  // read of the chunk table.
+  std::vector<uint8_t> forged = serialize_snapshot(MachineState{small_rv32_state()});
+  forged.resize(kChunkCountAt + 8);
+  poke_le(forged, kRamSizeAt, (uint64_t{1} << 32) + 1, 8);
+  restamp(forged);
+  expect_rejects(forged, "rv32 RAM size 4294967297 exceeds 2^32 bytes");
+
+  poke_le(forged, kRamSizeAt, ~uint64_t{0}, 8);
+  restamp(forged);
+  expect_rejects(forged, "exceeds 2^32 bytes");
 }
 
 TEST(Snapshot, RejectsNonzeroX0) {
