@@ -90,16 +90,33 @@ const MixedCorpus& mixed_corpus() {
   return kCorpus;
 }
 
+using Job = sim::SimulationService::Job;
+
+/// Submits `jobs` to a fresh `threads`-wide service and waits for all of
+/// them.  Returns the retired instructions summed over their results.
+uint64_t run_jobs(unsigned threads, const std::vector<Job>& jobs) {
+  sim::SimulationService service(threads);
+  std::vector<sim::JobHandle> handles;
+  for (const Job& job : jobs) handles.push_back(service.submit(job));
+  uint64_t instructions = 0;
+  for (const sim::JobHandle& h : handles) instructions += h.result().run.stats.instructions;
+  return instructions;
+}
+
 /// A job batch over the mixed corpus: every benchmark on the packed ART-9
 /// engine and on the rv32 reference engine.  Returns retired instructions.
 uint64_t run_mixed_batch(unsigned threads) {
   const MixedCorpus& corpus = mixed_corpus();
-  sim::SimulationService service(threads);
-  for (const auto& image : corpus.art9) service.add(image, sim::EngineKind::kPacked);
-  for (const auto& image : corpus.rv32) service.add(image, sim::EngineKind::kRv32);
-  uint64_t instructions = 0;
-  for (const sim::JobResult& r : service.run_all()) instructions += r.run.stats.instructions;
-  return instructions;
+  std::vector<Job> jobs;
+  for (const auto& image : corpus.art9) jobs.push_back({image, sim::EngineKind::kPacked});
+  for (const auto& image : corpus.rv32) jobs.push_back({image, sim::EngineKind::kRv32});
+  return run_jobs(threads, jobs);
+}
+
+/// `n` packed-engine Dhrystone jobs sharing one decoded image.
+std::vector<Job> dhrystone_jobs(int n) {
+  return std::vector<Job>(static_cast<std::size_t>(n),
+                          {dhrystone_image(), sim::EngineKind::kPacked});
 }
 
 // --- one benchmark per engine kind, registered generically -------------------
@@ -120,11 +137,7 @@ void BM_SimulationServiceDhrystone8(benchmark::State& state, unsigned threads) {
   // 8 Dhrystone scenarios sharing one decoded image, packed engines,
   // scheduled across `threads` workers.
   uint64_t instructions = 0;
-  for (auto _ : state) {
-    sim::SimulationService service(threads);
-    for (int i = 0; i < 8; ++i) service.add(dhrystone_image(), sim::EngineKind::kPacked);
-    for (const sim::JobResult& r : service.run_all()) instructions += r.run.stats.instructions;
-  }
+  for (auto _ : state) instructions += run_jobs(threads, dhrystone_jobs(8));
   state.counters["steps/s"] =
       benchmark::Counter(static_cast<double>(instructions), benchmark::Counter::kIsRate);
 }
@@ -224,28 +237,22 @@ double fleet_rate(unsigned lanes) {
   });
 }
 
-/// Cohort scheduling end to end: `jobs` same-image fleet jobs packed
-/// transparently by run_all — measured in jobs resolved per second.
+/// Cohort scheduling end to end: `jobs` same-image fleet jobs through
+/// submit_cohort — measured in jobs resolved per second.
 double cohort_jobs_rate(unsigned threads, int jobs) {
   return bench::median_rate([&] {
     sim::SimulationService service(threads);
-    for (int i = 0; i < jobs; ++i) service.add(dhrystone_image(), sim::EngineKind::kFleet);
     uint64_t completed = 0;
-    for (const sim::JobResult& r : service.run_all()) {
-      completed += r.outcome == sim::JobOutcome::kCompleted ? 1 : 0;
+    for (const sim::JobHandle& h : service.submit_cohort(std::vector<Job>(
+             static_cast<std::size_t>(jobs), {dhrystone_image(), sim::EngineKind::kFleet}))) {
+      completed += h.result().outcome == sim::JobOutcome::kCompleted ? 1 : 0;
     }
     return completed;
   });
 }
 
 double batch_rate(unsigned threads, int jobs) {
-  return bench::median_rate([&] {
-    sim::SimulationService service(threads);
-    for (int i = 0; i < jobs; ++i) service.add(dhrystone_image(), sim::EngineKind::kPacked);
-    uint64_t instructions = 0;
-    for (const sim::JobResult& r : service.run_all()) instructions += r.run.stats.instructions;
-    return instructions;
-  });
+  return bench::median_rate([&] { return run_jobs(threads, dhrystone_jobs(jobs)); });
 }
 
 double mixed_batch_rate(unsigned threads) {
@@ -260,7 +267,7 @@ double checkpointed_rate(uint64_t every) {
     sim::JobControls controls;
     controls.checkpoint_every = every;
     const sim::JobHandle handle =
-        service.submit(dhrystone_image(), sim::EngineKind::kPacked, {}, controls);
+        service.submit({dhrystone_image(), sim::EngineKind::kPacked, {}, {}, controls});
     return handle.result().run.stats.instructions;
   });
 }
@@ -276,7 +283,7 @@ double cancel_latency_seconds() {
   for (int i = 0; i < 5; ++i) {
     sim::SimulationService service(1);
     sim::JobHandle handle =
-        service.submit(spin, sim::EngineKind::kPacked, sim::RunOptions{1'000'000'000'000});
+        service.submit({spin, sim::EngineKind::kPacked, sim::RunOptions{1'000'000'000'000}});
     while (!handle.started()) std::this_thread::yield();
     const clock::time_point t0 = clock::now();
     handle.cancel();
@@ -385,7 +392,7 @@ int run_json_report(const std::string& path) {
   bench::note("fleet / superblock:     x" +
               std::to_string(superblock > 0.0 ? fleet / superblock : 0.0));
   bench::note("cohort round trips:     " + std::to_string(cohort_jobs) + " jobs/s (" +
-              std::to_string(kCohortJobs) + " Dhrystones via run_all packing)");
+              std::to_string(kCohortJobs) + " Dhrystones via submit_cohort)");
 
   bench::heading("batch_parallel — SimulationService, 8 packed Dhrystone jobs");
   constexpr int kJobs = 8;

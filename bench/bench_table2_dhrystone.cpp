@@ -19,7 +19,8 @@ int main() {
 
   // Baselines: one functional execution through the cross-ISA engine
   // facade feeds both cycle models via the retired-instruction observer.
-  const std::unique_ptr<sim::Engine> rv = sim::make_engine(sim::EngineKind::kRv32, rp);
+  const std::unique_ptr<sim::Engine> rv =
+      sim::make_engine(sim::EngineKind::kRv32, rv32::decode(rp));
   rv32::PicoRv32CycleModel pico;
   rv32::VexRiscvCycleModel vex;
   rv->set_observer([&](const sim::Retired& r) {

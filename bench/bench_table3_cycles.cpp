@@ -36,7 +36,8 @@ int main() {
   int index = 0;
   for (const core::BenchmarkSources* b : core::all_benchmarks()) {
     const rv32::Rv32Program rp = rv32::assemble_rv32(b->rv32);
-    const std::unique_ptr<sim::Engine> rv = sim::make_engine(sim::EngineKind::kRv32, rp);
+    const std::unique_ptr<sim::Engine> rv =
+        sim::make_engine(sim::EngineKind::kRv32, rv32::decode(rp));
     rv32::PicoRv32CycleModel pico;
     rv->set_observer([&](const sim::Retired& r) { pico.observe(r.to_rv32()); });
     if (rv->run_stats({500'000'000}).halt != sim::HaltReason::kHalted) {
@@ -46,7 +47,8 @@ int main() {
 
     xlat::SoftwareFramework framework;
     const xlat::TranslationResult xl = framework.translate(rp);
-    const std::unique_ptr<sim::Engine> pipe = sim::make_engine(sim::EngineKind::kPipeline, xl.program);
+    const std::unique_ptr<sim::Engine> pipe =
+        sim::make_engine(sim::EngineKind::kPipeline, sim::decode(xl.program));
     const sim::SimStats stats = pipe->run_stats({});
     if (stats.halt != sim::HaltReason::kHalted) {
       std::fprintf(stderr, "%s: ART-9 run did not halt\n", b->name.c_str());

@@ -55,7 +55,7 @@ loop:
   // The same computation as RV32 assembly on the rv32 kinds — the binary
   // baseline behind the same facade (rv32_packed is the rv32 engine under
   // its historical name).
-  const rv32::Rv32Program rv_program = rv32::assemble_rv32(R"(
+  const auto rv_image = rv32::decode(rv32::assemble_rv32(R"(
     li   a0, 100      # counter
     li   a1, 0        # sum
 loop:
@@ -63,9 +63,9 @@ loop:
     addi a0, a0, -1
     bnez a0, loop
     ebreak
-)");
+)"));
   for (sim::EngineKind kind : sim::rv32_engine_kinds()) {
-    std::unique_ptr<sim::Engine> engine = sim::make_engine(kind, rv_program);
+    std::unique_ptr<sim::Engine> engine = sim::make_engine(kind, rv_image);
     const sim::RunResult r = engine->run({});
     std::printf("%-16s %14llu %12llu %8u\n",
                 std::string(sim::engine_kind_name(kind)).c_str(),

@@ -37,7 +37,8 @@ int main() {
   const xlat::TranslationResult xl =
       framework.translate(rv32::assemble_rv32(bench.rv32));
 
-  const std::unique_ptr<sim::Engine> cpu = sim::make_engine(sim::EngineKind::kPipeline, xl.program);
+  const std::unique_ptr<sim::Engine> cpu =
+      sim::make_engine(sim::EngineKind::kPipeline, sim::decode(xl.program));
   const sim::RunResult result = cpu->run({});
   const sim::SimStats& stats = result.stats;
 

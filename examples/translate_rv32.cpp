@@ -58,7 +58,7 @@ done:
   // Differential proof.
   rv32::Rv32Simulator rv(rv_program);
   rv.run();
-  const auto t9 = sim::make_engine(sim::EngineKind::kFunctional, result.program);
+  const auto t9 = sim::make_engine(sim::EngineKind::kFunctional, sim::decode(result.program));
   const sim::RunResult t9_result = t9->run({});
   const auto rv_gcd = static_cast<int32_t>(rv.load_word(64));
   const auto t9_gcd = t9_result.state.art9().tdm.peek(64).to_int();

@@ -428,7 +428,7 @@ std::optional<std::string> check_xlat_case(ByteReader& in) {
 
   const xlat::SoftwareFramework framework;
   const xlat::TranslationResult xlat = framework.translate(program);
-  std::unique_ptr<sim::Engine> translated = sim::make_engine(kind, xlat.program);
+  std::unique_ptr<sim::Engine> translated = sim::make_engine(kind, sim::decode(xlat.program));
   if (translated->run_stats({kCompletionBudget}).halt != sim::HaltReason::kHalted) {
     return "translated program did not halt (" + tag.str() + ")";
   }

@@ -80,7 +80,7 @@ std::string done_tail(const sim::JobResult& result) {
   JsonObject body;
   body.add("state", "done");
   body.add("outcome", std::string(sim::job_outcome_name(result.outcome)));
-  body.add("exit_code", static_cast<int64_t>(outcome_exit_code(result.outcome)));
+  body.add("exit_code", static_cast<int64_t>(sim::outcome_exit_code(result.outcome)));
   if (!result.error.empty()) body.add("error", result.error);
   if (result.retries > 0) {
     body.add("retries", static_cast<uint64_t>(result.retries));
@@ -124,18 +124,6 @@ std::string done_tail(const sim::JobResult& result) {
 }
 
 }  // namespace
-
-int outcome_exit_code(sim::JobOutcome outcome) noexcept {
-  switch (outcome) {
-    case sim::JobOutcome::kCompleted: return 0;
-    case sim::JobOutcome::kTrapped: return 3;
-    case sim::JobOutcome::kBudgetExhausted: return 4;
-    case sim::JobOutcome::kDeadlineExceeded: return 5;
-    case sim::JobOutcome::kCancelled: return 6;
-    case sim::JobOutcome::kFaulted: return 7;
-  }
-  return 1;
-}
 
 SimulationServer::SimulationServer(Options options)
     : options_(std::move(options)),

@@ -16,7 +16,7 @@
 //            golden model
 //            -> 202 {"job": id}   (or a structured 429 admission reject)
 //   GET    /v1/jobs/{id}    -> status/result JSON; the six JobOutcomes
-//            carry the exact exit codes art9-run maps them to
+//            carry sim::outcome_exit_code, the code art9-run exits with
 //   DELETE /v1/jobs/{id}    -> cooperative cancel (idempotent; a
 //            finished job answers 202 with its result unchanged)
 //   GET    /v1/metrics      -> queue depth, admission counters, cache
@@ -54,11 +54,6 @@
 #include "sim/service.hpp"
 
 namespace art9::serve {
-
-/// The art9-run exit code for `outcome` — the serve layer mirrors the
-/// CLI mapping verbatim (0 completed, 3 trapped, 4 budget_exhausted,
-/// 5 deadline_exceeded, 6 cancelled, 7 faulted).
-[[nodiscard]] int outcome_exit_code(sim::JobOutcome outcome) noexcept;
 
 class SimulationServer {
  public:

@@ -82,7 +82,6 @@ class FunctionalEngineBase : public Engine {
   }
 
   [[nodiscard]] MachineState state() const final { return MachineState{arch_snapshot()}; }
-  [[nodiscard]] const DecodedImage& image() const noexcept final { return *image_; }
   // art9() throws SimError on an rv32 snapshot — the ISA-mismatch contract.
   void restore(const MachineState& snapshot) final { do_restore(snapshot.art9()); }
   void set_observer(Observer observer) final {
@@ -196,7 +195,7 @@ template <class Sim, EngineKind Kind>
 class PipelineEngine final : public Engine {
  public:
   PipelineEngine(std::shared_ptr<const DecodedImage> image, const EngineOptions& options)
-      : image_(std::move(image)), sim_(image_, options.pipeline) {
+      : sim_(std::move(image), options.pipeline) {
     if (options.tracer) sim_.set_tracer(options.tracer);
   }
 
@@ -240,8 +239,6 @@ class PipelineEngine final : public Engine {
   [[nodiscard]] MachineState checkpoint() override { return MachineState{sim_.checkpoint()}; }
   void restore(const MachineState& snapshot) override { sim_.restore_state(snapshot.art9()); }
 
-  [[nodiscard]] const DecodedImage& image() const noexcept override { return *image_; }
-
   void set_observer(Observer observer) override {
     if (!observer) {
       sim_.set_retire_observer({});
@@ -258,7 +255,6 @@ class PipelineEngine final : public Engine {
   }
 
  private:
-  std::shared_ptr<const DecodedImage> image_;
   Sim sim_;
 };
 
@@ -273,7 +269,7 @@ template <class Sim, EngineKind Kind>
 class Rv32Engine final : public Engine {
  public:
   Rv32Engine(std::shared_ptr<const rv32::Rv32DecodedImage> image, const EngineOptions& options)
-      : image_(std::move(image)), sim_(image_, options.rv32_ram_bytes) {}
+      : sim_(std::move(image), options.rv32_ram_bytes) {}
 
   [[nodiscard]] EngineKind kind() const noexcept override { return Kind; }
 
@@ -291,7 +287,6 @@ class Rv32Engine final : public Engine {
   [[nodiscard]] MachineState state() const override { return MachineState{sim_.state()}; }
   // rv32() throws SimError on an ART-9 snapshot — the ISA-mismatch contract.
   void restore(const MachineState& snapshot) override { sim_.restore(snapshot.rv32()); }
-  [[nodiscard]] const rv32::Rv32DecodedImage& rv32_image() const override { return *image_; }
 
   void set_observer(Observer observer) override {
     if (!observer) {
@@ -308,15 +303,12 @@ class Rv32Engine final : public Engine {
   }
 
  private:
-  std::shared_ptr<const rv32::Rv32DecodedImage> image_;
   Sim sim_;
 };
 
-}  // namespace
-
-std::unique_ptr<Engine> make_engine(EngineKind kind, std::shared_ptr<const DecodedImage> image,
-                                    const EngineOptions& options) {
-  if (!image) throw std::invalid_argument("make_engine: null image");
+/// The per-ISA factories behind make_engine; `image` is non-null.
+std::unique_ptr<Engine> build(EngineKind kind, std::shared_ptr<const DecodedImage> image,
+                              const EngineOptions& options) {
   switch (kind) {
     case EngineKind::kLazy:
       return std::make_unique<LazyEngine>(std::move(image));
@@ -342,10 +334,8 @@ std::unique_ptr<Engine> make_engine(EngineKind kind, std::shared_ptr<const Decod
   throw std::invalid_argument("make_engine: unknown EngineKind");
 }
 
-std::unique_ptr<Engine> make_engine(EngineKind kind,
-                                    std::shared_ptr<const rv32::Rv32DecodedImage> image,
-                                    const EngineOptions& options) {
-  if (!image) throw std::invalid_argument("make_engine: null image");
+std::unique_ptr<Engine> build(EngineKind kind, std::shared_ptr<const rv32::Rv32DecodedImage> image,
+                              const EngineOptions& options) {
   switch (kind) {
     case EngineKind::kRv32:
       return std::make_unique<Rv32Engine<rv32::Rv32Simulator, EngineKind::kRv32>>(std::move(image),
@@ -362,25 +352,16 @@ std::unique_ptr<Engine> make_engine(EngineKind kind,
   }
 }
 
+}  // namespace
+
 std::unique_ptr<Engine> make_engine(EngineKind kind, EngineImage image,
                                     const EngineOptions& options) {
-  return std::visit([&](auto shared) { return make_engine(kind, std::move(shared), options); },
-                    std::move(image));
-}
-
-std::unique_ptr<Engine> make_engine(EngineKind kind, std::shared_ptr<const DecodedImage> image,
-                                    const MachineState& snapshot, const EngineOptions& options) {
-  std::unique_ptr<Engine> engine = make_engine(kind, std::move(image), options);
-  engine->restore(snapshot);
-  return engine;
-}
-
-std::unique_ptr<Engine> make_engine(EngineKind kind,
-                                    std::shared_ptr<const rv32::Rv32DecodedImage> image,
-                                    const MachineState& snapshot, const EngineOptions& options) {
-  std::unique_ptr<Engine> engine = make_engine(kind, std::move(image), options);
-  engine->restore(snapshot);
-  return engine;
+  return std::visit(
+      [&](auto shared) {
+        if (!shared) throw std::invalid_argument("make_engine: null image");
+        return build(kind, std::move(shared), options);
+      },
+      std::move(image));
 }
 
 std::unique_ptr<Engine> make_engine(EngineKind kind, EngineImage image,
@@ -388,16 +369,6 @@ std::unique_ptr<Engine> make_engine(EngineKind kind, EngineImage image,
   std::unique_ptr<Engine> engine = make_engine(kind, std::move(image), options);
   engine->restore(snapshot);
   return engine;
-}
-
-std::unique_ptr<Engine> make_engine(EngineKind kind, const isa::Program& program,
-                                    const EngineOptions& options) {
-  return make_engine(kind, decode(program), options);
-}
-
-std::unique_ptr<Engine> make_engine(EngineKind kind, const rv32::Rv32Program& program,
-                                    const EngineOptions& options) {
-  return make_engine(kind, rv32::decode(program), options);
 }
 
 }  // namespace art9::sim

@@ -16,7 +16,7 @@
 //
 // behind one contract:
 //
-//   auto engine = make_engine(EngineKind::kPacked, image);
+//   auto engine = make_engine(EngineKind::kSuperblock, decode(program));
 //   RunResult r = engine->run({.max_steps = budget});
 //   // r.state / r.stats / r.halt — identical shape for every kind.
 //
@@ -45,7 +45,6 @@
 #include <variant>
 
 #include "isa/instruction.hpp"
-#include "isa/program.hpp"
 #include "rv32/rv32_decoded_image.hpp"
 #include "rv32/rv32_sim.hpp"
 #include "sim/decoded_image.hpp"
@@ -261,82 +260,36 @@ class Engine {
   /// been taken on an engine over the same program image.
   virtual void restore(const MachineState& snapshot) = 0;
 
-  /// The shared pre-decoded ART-9 image this engine executes.  Throws
-  /// SimError for the rv32 kinds (use rv32_image()).
-  [[nodiscard]] virtual const DecodedImage& image() const {
-    throw SimError("engine: rv32 kind has no ART-9 image");
-  }
-
-  /// The shared pre-decoded rv32 image this engine executes.  Throws
-  /// SimError for the ART-9 kinds (use image()).
-  [[nodiscard]] virtual const ::art9::rv32::Rv32DecodedImage& rv32_image() const {
-    throw SimError("engine: ART-9 kind has no rv32 image");
-  }
-
   /// Streams every retired instruction to `observer` (empty to remove).
   /// Engines fall back to an instrumented step loop only while an
   /// observer is installed; the native hot loops are untouched otherwise.
   virtual void set_observer(Observer observer) = 0;
 
-  /// Convenience accessors over state() for small inspections (ART-9
-  /// kinds; they throw SimError on the rv32 kinds).
-  [[nodiscard]] ternary::Word9 reg(int index) const { return state().art9().trf.read(index); }
-  [[nodiscard]] int64_t reg_int(int index) const { return reg(index).to_int(); }
-
  protected:
   Engine() = default;
 };
 
-/// Either ISA's shareable pre-decoded image — the one-argument form every
-/// generic consumer (SimulationService, the benches) traffics in.
+/// Either ISA's shareable pre-decoded image — what every engine is built
+/// from.  A typed shared_ptr (e.g. the result of sim::decode or
+/// rv32::decode) converts implicitly.
 using EngineImage = std::variant<std::shared_ptr<const DecodedImage>,
                                  std::shared_ptr<const ::art9::rv32::Rv32DecodedImage>>;
 
-/// Constructs an engine of `kind` over a shared immutable ART-9 image.
-/// Any number of engines (across threads — see SimulationService) may
-/// share one image.  Throws std::invalid_argument on a null image or an
-/// rv32 kind (which needs an Rv32DecodedImage).
-[[nodiscard]] std::unique_ptr<Engine> make_engine(EngineKind kind,
-                                                  std::shared_ptr<const DecodedImage> image,
-                                                  const EngineOptions& options = {});
-
-/// Constructs an rv32 engine over a shared immutable rv32 image.  Throws
-/// std::invalid_argument on a null image or an ART-9 kind.
-[[nodiscard]] std::unique_ptr<Engine> make_engine(
-    EngineKind kind, std::shared_ptr<const ::art9::rv32::Rv32DecodedImage> image,
-    const EngineOptions& options = {});
-
-/// Cross-ISA form: dispatches on the image alternative.  The kind must
-/// match the image's ISA (std::invalid_argument otherwise).
+/// Constructs an engine of `kind` over a shared immutable image.  Any
+/// number of engines (across threads — see SimulationService) may share
+/// one image.  Throws std::invalid_argument on a null image or a kind of
+/// the other ISA.
 [[nodiscard]] std::unique_ptr<Engine> make_engine(EngineKind kind, EngineImage image,
                                                   const EngineOptions& options = {});
 
-/// Constructs an ART-9 engine of `kind` and resumes it from `snapshot`
-/// (an ART-9 MachineState — e.g. one produced by checkpoint() on any
-/// ART-9 kind, or deserialized via sim/snapshot.hpp) instead of the
-/// image's entry state.  The image supplies the code; the snapshot
-/// supplies registers, TDM and PC.
-[[nodiscard]] std::unique_ptr<Engine> make_engine(EngineKind kind,
-                                                  std::shared_ptr<const DecodedImage> image,
-                                                  const MachineState& snapshot,
-                                                  const EngineOptions& options = {});
-
-/// rv32 form: resumes from an rv32 snapshot (its RAM size is adopted,
-/// overriding EngineOptions::rv32_ram_bytes).
-[[nodiscard]] std::unique_ptr<Engine> make_engine(
-    EngineKind kind, std::shared_ptr<const ::art9::rv32::Rv32DecodedImage> image,
-    const MachineState& snapshot, const EngineOptions& options = {});
-
-/// Cross-ISA resume form: dispatches on the image alternative.
+/// Constructs an engine of `kind` and resumes it from `snapshot` (e.g.
+/// one produced by checkpoint() on any kind of the same ISA, or
+/// deserialized via sim/snapshot.hpp) instead of the image's entry
+/// state.  The image supplies the code; the snapshot supplies registers,
+/// data memory and PC.  An rv32 snapshot's RAM size is adopted,
+/// overriding EngineOptions::rv32_ram_bytes.
 [[nodiscard]] std::unique_ptr<Engine> make_engine(EngineKind kind, EngineImage image,
                                                   const MachineState& snapshot,
-                                                  const EngineOptions& options = {});
-
-/// Convenience: decodes `program` into a fresh image first.
-[[nodiscard]] std::unique_ptr<Engine> make_engine(EngineKind kind, const isa::Program& program,
-                                                  const EngineOptions& options = {});
-[[nodiscard]] std::unique_ptr<Engine> make_engine(EngineKind kind,
-                                                  const ::art9::rv32::Rv32Program& program,
                                                   const EngineOptions& options = {});
 
 }  // namespace art9::sim

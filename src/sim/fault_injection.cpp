@@ -49,10 +49,6 @@ class FaultInjectedEngine final : public Engine {
   [[nodiscard]] MachineState state() const override { return inner_->state(); }
   [[nodiscard]] MachineState checkpoint() override { return inner_->checkpoint(); }
   void restore(const MachineState& snapshot) override { inner_->restore(snapshot); }
-  [[nodiscard]] const DecodedImage& image() const override { return inner_->image(); }
-  [[nodiscard]] const ::art9::rv32::Rv32DecodedImage& rv32_image() const override {
-    return inner_->rv32_image();
-  }
   void set_observer(Observer observer) override { inner_->set_observer(std::move(observer)); }
 
  private:

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <map>
 #include <stdexcept>
 #include <utility>
 #include <variant>
@@ -19,7 +18,6 @@ namespace detail {
 /// cooperative cancellation token, and the resolve-once result slot.
 struct JobState {
   SimulationService::Job job;
-  std::size_t id = 0;
   std::shared_ptr<ServiceCounters> counters;  // set at submit, never null
   std::chrono::steady_clock::time_point deadline_at{};
   bool has_deadline = false;
@@ -391,8 +389,6 @@ namespace {
 [[noreturn]] void throw_empty_handle() { throw std::logic_error("JobHandle: empty handle"); }
 }  // namespace
 
-std::size_t JobHandle::id() const noexcept { return state_ ? state_->id : 0; }
-
 bool JobHandle::started() const noexcept {
   return state_ && state_->started.load(std::memory_order_acquire);
 }
@@ -508,12 +504,9 @@ void SimulationService::enqueue(WorkItem item) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (stopping_) throw std::logic_error("SimulationService: submit after shutdown began");
-    for (const auto& state : item) {
-      state->id = next_id_++;
-      // Counted before the push so submitted() >= resolved() always holds
-      // (a worker may resolve the job before submit() even returns).
-      counters_->submitted.fetch_add(1, std::memory_order_acq_rel);
-    }
+    // Counted before the push so submitted() >= resolved() always holds
+    // (a worker may resolve the job before submit() even returns).
+    counters_->submitted.fetch_add(item.size(), std::memory_order_acq_rel);
     queue_.push_back(std::move(item));
     ensure_workers();
   }
@@ -561,96 +554,6 @@ std::vector<JobHandle> SimulationService::submit_cohort(std::vector<Job> jobs) {
   }
   if (!item.empty()) enqueue(std::move(item));
   return handles;
-}
-
-JobHandle SimulationService::submit(std::shared_ptr<const DecodedImage> image, EngineKind kind,
-                                    RunOptions run, JobControls control) {
-  return submit(Job{EngineImage(std::move(image)), kind, run, {}, std::move(control)});
-}
-
-JobHandle SimulationService::submit(std::shared_ptr<const rv32::Rv32DecodedImage> image,
-                                    EngineKind kind, RunOptions run, JobControls control) {
-  return submit(Job{EngineImage(std::move(image)), kind, run, {}, std::move(control)});
-}
-
-std::size_t SimulationService::add(Job job) {
-  validate_job(job);
-  jobs_.push_back(std::move(job));
-  return jobs_.size() - 1;
-}
-
-std::size_t SimulationService::add(std::shared_ptr<const DecodedImage> image, EngineKind kind,
-                                   RunOptions run) {
-  return add(Job{EngineImage(std::move(image)), kind, run, {}, {}});
-}
-
-std::size_t SimulationService::add(std::shared_ptr<const rv32::Rv32DecodedImage> image,
-                                   EngineKind kind, RunOptions run) {
-  return add(Job{EngineImage(std::move(image)), kind, run, {}, {}});
-}
-
-std::shared_ptr<const DecodedImage> SimulationService::add(const isa::Program& program,
-                                                           EngineKind kind, RunOptions run) {
-  std::shared_ptr<const DecodedImage> image = decode(program);
-  add(image, kind, run);
-  return image;
-}
-
-std::shared_ptr<const rv32::Rv32DecodedImage> SimulationService::add(
-    const rv32::Rv32Program& program, EngineKind kind, RunOptions run) {
-  std::shared_ptr<const rv32::Rv32DecodedImage> image = rv32::decode(program);
-  add(image, kind, run);
-  return image;
-}
-
-std::vector<JobResult> SimulationService::run_all(BatchStats* batch) {
-  const auto start = std::chrono::steady_clock::now();
-
-  // Transparent cohort packing: fleet jobs sharing an image and carrying
-  // no checkpoint/retry/fault controls ride submit_cohort (bit-identical
-  // per-job results, one bit-sliced engine per <= kMaxLanes of them);
-  // everything else submits individually.  Handles keep job order.
-  std::vector<JobHandle> handles(jobs_.size());
-  std::map<const DecodedImage*, std::vector<std::size_t>> cohorts;
-  for (std::size_t i = 0; i < jobs_.size(); ++i) {
-    const Job& job = jobs_[i];
-    const bool packable = job.kind == EngineKind::kFleet &&
-                          job.image.index() == 0 && job.control.checkpoint_every == 0 &&
-                          job.control.retries == 0 && !job.control.fault;
-    if (packable) {
-      cohorts[std::get<std::shared_ptr<const DecodedImage>>(job.image).get()].push_back(i);
-    } else {
-      handles[i] = submit(job);
-    }
-  }
-  for (const auto& entry : cohorts) {
-    const std::vector<std::size_t>& indices = entry.second;
-    std::vector<Job> group;
-    group.reserve(indices.size());
-    for (std::size_t i : indices) group.push_back(jobs_[i]);
-    std::vector<JobHandle> cohort_handles = submit_cohort(std::move(group));
-    for (std::size_t k = 0; k < indices.size(); ++k) {
-      handles[indices[k]] = std::move(cohort_handles[k]);
-    }
-  }
-
-  std::vector<JobResult> results;
-  results.reserve(handles.size());
-  for (const JobHandle& handle : handles) results.push_back(handle.result());
-
-  if (batch != nullptr) {
-    const std::chrono::duration<double> wall = std::chrono::steady_clock::now() - start;
-    BatchStats stats;
-    stats.threads = static_cast<unsigned>(
-        std::min<std::size_t>(threads_, std::max<std::size_t>(results.size(), 1)));
-    stats.wall_seconds = wall.count();
-    for (const JobResult& r : results) {
-      stats.instructions += r.run.stats.instructions;
-      stats.cycles += r.run.stats.cycles;
-    }
-    *batch = stats;
-  }
-  return results;
 }
 
 }  // namespace art9::sim

@@ -35,17 +35,14 @@
 // cancellation outcomes are wall-clock-dependent by nature; their
 // *classification* is what tests lock.
 //
-// run_all() remains as a thin batch adapter over submit + wait: queue
-// jobs with add(), collect one JobResult per job in job order.  Unlike
-// the pre-async service it never rethrows a job's exception — a trapping
-// job resolves kTrapped while its siblings' results stay intact.
+// A job's failure never throws out of the service: a trapping job
+// resolves kTrapped while its siblings' results stay intact.
 //
 // Cohorts: submit_cohort() schedules up to FleetSimulator::kMaxLanes
 // fleet-kind jobs sharing one DecodedImage as a single unit of worker
 // work — one bit-sliced FleetSimulator executes every lane at once, and
 // each job still resolves to its own independent JobResult (outcome,
-// state and stats bit-identical to running it alone).  run_all() packs
-// eligible fleet jobs into cohorts transparently.
+// state and stats bit-identical to running it alone).
 #pragma once
 
 #include <array>
@@ -61,7 +58,6 @@
 #include <thread>
 #include <vector>
 
-#include "isa/program.hpp"
 #include "sim/engine.hpp"
 
 namespace art9::sim {
@@ -82,6 +78,20 @@ enum class JobOutcome : uint8_t {
 /// "deadline_exceeded", "cancelled", "faulted") — art9-run's report
 /// vocabulary.
 [[nodiscard]] std::string_view job_outcome_name(JobOutcome outcome) noexcept;
+
+/// The process exit code for `outcome` — what art9-run exits with and
+/// art9-serve reports as `exit_code`.
+[[nodiscard]] constexpr int outcome_exit_code(JobOutcome outcome) noexcept {
+  switch (outcome) {
+    case JobOutcome::kCompleted: return 0;
+    case JobOutcome::kTrapped: return 3;
+    case JobOutcome::kBudgetExhausted: return 4;
+    case JobOutcome::kDeadlineExceeded: return 5;
+    case JobOutcome::kCancelled: return 6;
+    case JobOutcome::kFaulted: return 7;
+  }
+  return 1;
+}
 
 /// Per-job scheduling controls, all optional.
 struct JobControls {
@@ -150,9 +160,6 @@ class JobHandle {
 
   [[nodiscard]] bool valid() const noexcept { return state_ != nullptr; }
 
-  /// The job index assigned at submit (== run_all result index).
-  [[nodiscard]] std::size_t id() const noexcept;
-
   /// True once a worker has picked the job up (it may also already be
   /// done).  False for a job still queued.
   [[nodiscard]] bool started() const noexcept;
@@ -194,26 +201,14 @@ class SimulationService {
   /// One scheduled simulation: an engine kind over a shared image of
   /// either ISA, with a private budget, (for the pipeline kinds)
   /// microarchitecture options, and scheduling controls.  The kind must
-  /// match the image's ISA.
+  /// match the image's ISA.  An aggregate, so `submit({image, kind})` and
+  /// `submit({image, kind, {budget}})` spell the common cases.
   struct Job {
     EngineImage image;
     EngineKind kind = EngineKind::kFunctional;
-    RunOptions run;
-    EngineOptions engine;
-    JobControls control;
-  };
-
-  /// Aggregate throughput of one run_all() call.
-  struct BatchStats {
-    unsigned threads = 0;       // workers actually used
-    double wall_seconds = 0.0;  // submission to last result
-    uint64_t instructions = 0;  // sum of retired instructions
-    uint64_t cycles = 0;        // sum of simulated cycles
-
-    /// Aggregate simulated instructions per host second.
-    [[nodiscard]] double steps_per_sec() const {
-      return wall_seconds > 0.0 ? static_cast<double>(instructions) / wall_seconds : 0.0;
-    }
+    RunOptions run{};
+    EngineOptions engine{};
+    JobControls control{};
   };
 
   /// `threads = 0` uses std::thread::hardware_concurrency() (min 1).
@@ -234,16 +229,8 @@ class SimulationService {
 
   /// Schedules `job` and returns immediately.  With one worker, jobs
   /// execute in submission order.  Throws std::invalid_argument on a
-  /// null image.
+  /// null image or a kind of the other ISA.
   JobHandle submit(Job job);
-
-  /// Convenience submits mirroring the add() family.
-  JobHandle submit(std::shared_ptr<const DecodedImage> image,
-                   EngineKind kind = EngineKind::kFunctional, RunOptions run = {},
-                   JobControls control = {});
-  JobHandle submit(std::shared_ptr<const rv32::Rv32DecodedImage> image,
-                   EngineKind kind = EngineKind::kRv32, RunOptions run = {},
-                   JobControls control = {});
 
   /// Schedules `jobs` as fleet cohorts: chunks of up to
   /// FleetSimulator::kMaxLanes jobs become one unit of worker work each,
@@ -256,29 +243,6 @@ class SimulationService {
   /// injection (deadline and slice_steps are honoured per lane).
   /// Returns one handle per job, in job order.
   std::vector<JobHandle> submit_cohort(std::vector<Job> jobs);
-
-  // --- batch API (compatibility adapter over submit + wait) ----------------
-
-  /// Queues `job`.  Returns the job index (== result index).
-  /// Throws std::invalid_argument on a null image.
-  std::size_t add(Job job);
-
-  /// Queues a run of an already-decoded image (either ISA).
-  std::size_t add(std::shared_ptr<const DecodedImage> image,
-                  EngineKind kind = EngineKind::kFunctional, RunOptions run = {});
-  std::size_t add(std::shared_ptr<const rv32::Rv32DecodedImage> image,
-                  EngineKind kind = EngineKind::kRv32, RunOptions run = {});
-
-  /// Queues `program`, decoding it into a fresh image.  Returns the image
-  /// so further jobs can share it.
-  std::shared_ptr<const DecodedImage> add(const isa::Program& program,
-                                          EngineKind kind = EngineKind::kFunctional,
-                                          RunOptions run = {});
-  std::shared_ptr<const rv32::Rv32DecodedImage> add(const rv32::Rv32Program& program,
-                                                    EngineKind kind = EngineKind::kRv32,
-                                                    RunOptions run = {});
-
-  [[nodiscard]] std::size_t size() const noexcept { return jobs_.size(); }
 
   // --- introspection (the /v1/metrics feed of the serve front end) ----------
 
@@ -311,16 +275,6 @@ class SimulationService {
     return counters_->outcomes[static_cast<std::size_t>(outcome)].load(std::memory_order_acquire);
   }
 
-  /// Submits every queued job and waits: one JobResult per job, in job
-  /// order.  The queue is left intact, so run_all() is repeatable.  Job
-  /// failures resolve as outcomes (kTrapped and friends) — completed
-  /// siblings keep their results; nothing is rethrown.  Fleet-kind jobs
-  /// that share an image and carry no checkpoint/retry/fault controls
-  /// are packed into cohorts transparently (results keep job order and
-  /// stay bit-identical to individual submission).  `batch`, when
-  /// non-null, receives aggregate throughput stats.
-  [[nodiscard]] std::vector<JobResult> run_all(BatchStats* batch = nullptr);
-
  private:
   /// One unit of worker work: a solo job (size 1) or a fleet cohort.
   using WorkItem = std::vector<std::shared_ptr<detail::JobState>>;
@@ -331,7 +285,6 @@ class SimulationService {
   void enqueue(WorkItem item);
 
   unsigned threads_;
-  std::vector<Job> jobs_;  // the add() queue (run_all input)
   std::shared_ptr<detail::ServiceCounters> counters_ =
       std::make_shared<detail::ServiceCounters>();
 
@@ -339,7 +292,6 @@ class SimulationService {
   std::condition_variable work_cv_;
   std::deque<WorkItem> queue_;
   std::vector<std::thread> workers_;
-  std::size_t next_id_ = 0;
   bool stopping_ = false;
 };
 

@@ -21,7 +21,7 @@ namespace {
 using sim::EngineKind;
 
 std::unique_ptr<sim::Engine> packed_engine(const std::string& source) {
-  return sim::make_engine(EngineKind::kRv32Packed, assemble_rv32(source));
+  return sim::make_engine(EngineKind::kRv32Packed, decode(assemble_rv32(source)));
 }
 
 /// Little-endian word at `address` of a snapshot's RAM.

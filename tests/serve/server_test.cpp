@@ -75,12 +75,12 @@ std::string digest_of(const sim::MachineState& state) {
 }
 
 TEST(OutcomeExitCode, MirrorsArt9Run) {
-  EXPECT_EQ(outcome_exit_code(sim::JobOutcome::kCompleted), 0);
-  EXPECT_EQ(outcome_exit_code(sim::JobOutcome::kTrapped), 3);
-  EXPECT_EQ(outcome_exit_code(sim::JobOutcome::kBudgetExhausted), 4);
-  EXPECT_EQ(outcome_exit_code(sim::JobOutcome::kDeadlineExceeded), 5);
-  EXPECT_EQ(outcome_exit_code(sim::JobOutcome::kCancelled), 6);
-  EXPECT_EQ(outcome_exit_code(sim::JobOutcome::kFaulted), 7);
+  EXPECT_EQ(sim::outcome_exit_code(sim::JobOutcome::kCompleted), 0);
+  EXPECT_EQ(sim::outcome_exit_code(sim::JobOutcome::kTrapped), 3);
+  EXPECT_EQ(sim::outcome_exit_code(sim::JobOutcome::kBudgetExhausted), 4);
+  EXPECT_EQ(sim::outcome_exit_code(sim::JobOutcome::kDeadlineExceeded), 5);
+  EXPECT_EQ(sim::outcome_exit_code(sim::JobOutcome::kCancelled), 6);
+  EXPECT_EQ(sim::outcome_exit_code(sim::JobOutcome::kFaulted), 7);
 }
 
 TEST(SimulationServerRoutes, ProtocolErrorsAreStructured) {
@@ -226,8 +226,8 @@ TEST(SimulationServerE2E, LoopbackResultsBitIdenticalToDirectServiceRuns) {
   // service: the canonical snapshot digest is the bit-identity witness.
   sim::SimulationService direct(1);
   const sim::JobHandle direct_handle =
-      direct.submit(sim::decode(isa::assemble(kSumProgram)), sim::EngineKind::kPacked,
-                    sim::RunOptions{2000});
+      direct.submit({sim::decode(isa::assemble(kSumProgram)), sim::EngineKind::kPacked,
+                     sim::RunOptions{2000}});
   const sim::JobResult& expected = direct_handle.result();
   ASSERT_EQ(expected.outcome, sim::JobOutcome::kCompleted);
   const std::string expected_digest = digest_of(expected.run.state);
@@ -343,7 +343,7 @@ TEST(SimulationServerE2E, Rv32DigestsMatchDirectRunsOnEveryKind) {
   for (const sim::EngineKind kind : sim::rv32_engine_kinds()) {
     const std::string engine(sim::engine_kind_name(kind));
     const sim::JobHandle direct_handle =
-        direct.submit(rv32::decode(rv32::assemble_rv32(kRv32Program)), kind, sim::RunOptions{1000});
+        direct.submit({rv32::decode(rv32::assemble_rv32(kRv32Program)), kind, {1000}});
     const sim::JobResult& expected = direct_handle.result();
     ASSERT_EQ(expected.outcome, sim::JobOutcome::kCompleted) << engine;
 

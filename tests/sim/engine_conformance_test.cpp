@@ -357,7 +357,7 @@ TEST_P(EngineConformance, BitIdenticalOnOpcodeCorpus) {
 
 TEST_P(EngineConformance, TinyBudgetOnInfiniteLoopReportsMaxCycles) {
   const isa::Program loop = isa::assemble("loop:\n  ADDI T1, 1\n  JAL T0, loop\n");
-  std::unique_ptr<Engine> engine = make_engine(GetParam(), loop);
+  std::unique_ptr<Engine> engine = make_engine(GetParam(), decode(loop));
   const RunResult r = engine->run({50});
   EXPECT_EQ(r.halt, HaltReason::kMaxCycles);
   EXPECT_EQ(r.stats.halt, HaltReason::kMaxCycles);
@@ -372,7 +372,7 @@ TEST_P(EngineConformance, RepeatedRunsReportPerCallStats) {
   // Every kind reports per-call stats: a second run with the same budget
   // accounts only its own steps, never the lifetime total.
   const isa::Program loop = isa::assemble("loop:\n  ADDI T1, 1\n  JAL T0, loop\n");
-  std::unique_ptr<Engine> engine = make_engine(GetParam(), loop);
+  std::unique_ptr<Engine> engine = make_engine(GetParam(), decode(loop));
   const RunResult first = engine->run({50});
   const RunResult second = engine->run({50});
   EXPECT_EQ(first.halt, HaltReason::kMaxCycles);
@@ -397,7 +397,8 @@ TEST_P(EngineConformance, PipelineConfigBudgetCapsEachRun) {
 }
 
 TEST_P(EngineConformance, HaltingProgramReportsHalted) {
-  std::unique_ptr<Engine> engine = make_engine(GetParam(), isa::assemble("LIMM T1, 7\nHALT\n"));
+  std::unique_ptr<Engine> engine =
+      make_engine(GetParam(), decode(isa::assemble("LIMM T1, 7\nHALT\n")));
   const RunResult r = engine->run({});
   EXPECT_EQ(r.halt, HaltReason::kHalted);
   EXPECT_EQ(r.state.art9().trf.read(1).to_int(), 7);
@@ -433,7 +434,8 @@ TEST_P(EngineConformance, StepLoopMatchesRun) {
 
 TEST_P(EngineConformance, ObserverSeesEveryRetiredInstruction) {
   const isa::Program program = isa::assemble(opcode_corpus()[4]);  // JAL/JALR linkage
-  std::unique_ptr<Engine> engine = make_engine(GetParam(), program);
+  const std::shared_ptr<const DecodedImage> image = decode(program);
+  std::unique_ptr<Engine> engine = make_engine(GetParam(), image);
   std::vector<Retired> stream;
   engine->set_observer([&](const Retired& r) { stream.push_back(r); });
   const RunResult r = engine->run({});
@@ -442,7 +444,7 @@ TEST_P(EngineConformance, ObserverSeesEveryRetiredInstruction) {
     EXPECT_EQ(stream[i].index, i);
     // The stream is the executed path: each pc must hold the instruction
     // the observer reported.
-    EXPECT_EQ(isa::to_string(engine->image().fetch(stream[i].pc).inst),
+    EXPECT_EQ(isa::to_string(image->fetch(stream[i].pc).inst),
               isa::to_string(stream[i].art9()));
   }
   // First retired instruction is the entry instruction.
@@ -450,7 +452,7 @@ TEST_P(EngineConformance, ObserverSeesEveryRetiredInstruction) {
 
   // The stream is identical to the golden model's (same corpus, every
   // kind): lock against the functional engine's stream.
-  std::unique_ptr<Engine> golden = make_engine(EngineKind::kFunctional, program);
+  std::unique_ptr<Engine> golden = make_engine(EngineKind::kFunctional, image);
   std::vector<Retired> golden_stream;
   golden->set_observer([&](const Retired& g) { golden_stream.push_back(g); });
   static_cast<void>(golden->run({}));
@@ -465,7 +467,7 @@ TEST_P(EngineConformance, ObserverInstalledMidRunNumbersFromZero) {
   // The stream is numbered from each installation, on every kind — even
   // when the engine has already retired instructions.
   const isa::Program loop = isa::assemble("loop:\n  ADDI T1, 1\n  JAL T0, loop\n");
-  std::unique_ptr<Engine> engine = make_engine(GetParam(), loop);
+  std::unique_ptr<Engine> engine = make_engine(GetParam(), decode(loop));
   static_cast<void>(engine->run({10}));  // retire a few first
   std::vector<Retired> stream;
   engine->set_observer([&](const Retired& r) { stream.push_back(r); });
@@ -475,7 +477,8 @@ TEST_P(EngineConformance, ObserverInstalledMidRunNumbersFromZero) {
 }
 
 TEST_P(EngineConformance, ObserverRemovalRestoresFastPath) {
-  std::unique_ptr<Engine> engine = make_engine(GetParam(), isa::assemble("LIMM T1, 3\nHALT\n"));
+  std::unique_ptr<Engine> engine =
+      make_engine(GetParam(), decode(isa::assemble("LIMM T1, 3\nHALT\n")));
   uint64_t fires = 0;
   engine->set_observer([&](const Retired&) { ++fires; });
   engine->set_observer({});
@@ -491,7 +494,7 @@ TEST_P(EngineConformance, UninitialisedFetchTraps) {
   isa::Program program;
   program.code.push_back(isa::Instruction{isa::Opcode::kAddi, 1, 0, ternary::kTritZ, 1});
   program.entry = 0;
-  std::unique_ptr<Engine> engine = make_engine(GetParam(), program);
+  std::unique_ptr<Engine> engine = make_engine(GetParam(), decode(program));
   EXPECT_THROW(static_cast<void>(engine->run({})), SimError);
 }
 
@@ -558,7 +561,8 @@ TEST_P(Rv32EngineConformance, BitIdenticalOnOpcodeCorpus) {
 
 TEST_P(Rv32EngineConformance, TinyBudgetOnInfiniteLoopReportsMaxCycles) {
   std::unique_ptr<Engine> engine =
-      make_engine(GetParam(), rv32::assemble_rv32("loop:\n  addi t0, t0, 1\n  j loop\n"));
+      make_engine(GetParam(),
+                  rv32::decode(rv32::assemble_rv32("loop:\n  addi t0, t0, 1\n  j loop\n")));
   const RunResult r = engine->run({50});
   EXPECT_EQ(r.halt, HaltReason::kMaxCycles);
   EXPECT_EQ(r.stats.halt, HaltReason::kMaxCycles);
@@ -567,7 +571,8 @@ TEST_P(Rv32EngineConformance, TinyBudgetOnInfiniteLoopReportsMaxCycles) {
 
 TEST_P(Rv32EngineConformance, RepeatedRunsReportPerCallStats) {
   std::unique_ptr<Engine> engine =
-      make_engine(GetParam(), rv32::assemble_rv32("loop:\n  addi t0, t0, 1\n  j loop\n"));
+      make_engine(GetParam(),
+                  rv32::decode(rv32::assemble_rv32("loop:\n  addi t0, t0, 1\n  j loop\n")));
   const RunResult first = engine->run({50});
   const RunResult second = engine->run({50});
   EXPECT_EQ(first.stats.instructions, 50u);
@@ -577,7 +582,7 @@ TEST_P(Rv32EngineConformance, RepeatedRunsReportPerCallStats) {
 
 TEST_P(Rv32EngineConformance, HaltingProgramReportsHalted) {
   std::unique_ptr<Engine> engine =
-      make_engine(GetParam(), rv32::assemble_rv32("li a0, 7\nebreak\n"));
+      make_engine(GetParam(), rv32::decode(rv32::assemble_rv32("li a0, 7\nebreak\n")));
   const RunResult r = engine->run({});
   EXPECT_EQ(r.halt, HaltReason::kHalted);
   EXPECT_EQ(r.state.rv32().regs[10], 7u);
@@ -616,8 +621,9 @@ TEST_P(Rv32EngineConformance, ObserverSeesEveryRetiredInstruction) {
   // The rv32 stream keeps the native Rv32Simulator::Observer convention:
   // the halting ECALL/EBREAK is observed (the baseline cycle models need
   // it), so a halted run streams instructions + 1 events.
-  const std::string source = rv32_opcode_corpus()[4];  // JAL/JALR linkage
-  std::unique_ptr<Engine> engine = make_engine(GetParam(), rv32::assemble_rv32(source));
+  const std::shared_ptr<const rv32::Rv32DecodedImage> image =
+      rv32::decode(rv32::assemble_rv32(rv32_opcode_corpus()[4]));  // JAL/JALR linkage
+  std::unique_ptr<Engine> engine = make_engine(GetParam(), image);
   std::vector<Retired> stream;
   engine->set_observer([&](const Retired& r) { stream.push_back(r); });
   const RunResult r = engine->run({});
@@ -630,7 +636,7 @@ TEST_P(Rv32EngineConformance, ObserverSeesEveryRetiredInstruction) {
   EXPECT_EQ(stream.back().rv32().op, rv32::Rv32Op::kEbreak);
 
   // Identical to the reference rv32 engine's stream (inst, pc, taken).
-  std::unique_ptr<Engine> golden = make_engine(EngineKind::kRv32, rv32::assemble_rv32(source));
+  std::unique_ptr<Engine> golden = make_engine(EngineKind::kRv32, image);
   std::vector<Retired> golden_stream;
   golden->set_observer([&](const Retired& g) { golden_stream.push_back(g); });
   static_cast<void>(golden->run({}));
@@ -644,7 +650,8 @@ TEST_P(Rv32EngineConformance, ObserverSeesEveryRetiredInstruction) {
 
 TEST_P(Rv32EngineConformance, ObserverInstalledMidRunNumbersFromZero) {
   std::unique_ptr<Engine> engine =
-      make_engine(GetParam(), rv32::assemble_rv32("loop:\n  addi t0, t0, 1\n  j loop\n"));
+      make_engine(GetParam(),
+                  rv32::decode(rv32::assemble_rv32("loop:\n  addi t0, t0, 1\n  j loop\n")));
   static_cast<void>(engine->run({10}));  // retire a few first
   std::vector<Retired> stream;
   engine->set_observer([&](const Retired& r) { stream.push_back(r); });
@@ -655,7 +662,7 @@ TEST_P(Rv32EngineConformance, ObserverInstalledMidRunNumbersFromZero) {
 
 TEST_P(Rv32EngineConformance, ObserverRemovalRestoresFastPath) {
   std::unique_ptr<Engine> engine =
-      make_engine(GetParam(), rv32::assemble_rv32("li a0, 3\nebreak\n"));
+      make_engine(GetParam(), rv32::decode(rv32::assemble_rv32("li a0, 3\nebreak\n")));
   uint64_t fires = 0;
   engine->set_observer([&](const Retired&) { ++fires; });
   engine->set_observer({});
@@ -669,7 +676,8 @@ TEST_P(Rv32EngineConformance, ObserverRemovalRestoresFastPath) {
 TEST_P(Rv32EngineConformance, FetchOutsideProgramTraps) {
   // Fall off the end of a program with no halt: every rv32 kind throws
   // the rv32 error type, exactly like the seed loop.
-  std::unique_ptr<Engine> engine = make_engine(GetParam(), rv32::assemble_rv32("nop\n"));
+  std::unique_ptr<Engine> engine =
+      make_engine(GetParam(), rv32::decode(rv32::assemble_rv32("nop\n")));
   EXPECT_THROW(static_cast<void>(engine->run({})), rv32::Rv32SimError);
 }
 
@@ -678,7 +686,7 @@ TEST_P(Rv32EngineConformance, OutOfRangeStoreTraps) {
   // identically on both datapaths (regression for the seed's unchecked
   // uint32 wraparound in SH/SW near the top of the address space).
   std::unique_ptr<Engine> engine = make_engine(
-      GetParam(), rv32::assemble_rv32("li a0, -2\nsw a1, 0(a0)\nebreak\n"));
+      GetParam(), rv32::decode(rv32::assemble_rv32("li a0, -2\nsw a1, 0(a0)\nebreak\n")));
   try {
     static_cast<void>(engine->run({}));
     FAIL() << "expected Rv32SimError";
@@ -723,22 +731,6 @@ TEST(Engine, KindMustMatchImageIsa) {
   EXPECT_EQ(make_engine(EngineKind::kRv32, EngineImage{rv32_image})->kind(), EngineKind::kRv32);
   EXPECT_EQ(make_engine(EngineKind::kPacked, EngineImage{art9_image})->kind(),
             EngineKind::kPacked);
-}
-
-TEST(Engine, SharedImageIsExposed) {
-  const std::shared_ptr<const DecodedImage> image = decode(isa::assemble("HALT\n"));
-  for (EngineKind kind : art9_engine_kinds()) {
-    std::unique_ptr<Engine> engine = make_engine(kind, image);
-    EXPECT_EQ(&engine->image(), image.get()) << engine_kind_name(kind);
-    EXPECT_THROW(static_cast<void>(engine->rv32_image()), SimError);
-  }
-  const std::shared_ptr<const rv32::Rv32DecodedImage> rv32_image =
-      rv32::decode(rv32::assemble_rv32("ebreak\n"));
-  for (EngineKind kind : rv32_engine_kinds()) {
-    std::unique_ptr<Engine> engine = make_engine(kind, rv32_image);
-    EXPECT_EQ(&engine->rv32_image(), rv32_image.get()) << engine_kind_name(kind);
-    EXPECT_THROW(static_cast<void>(engine->image()), SimError);
-  }
 }
 
 }  // namespace

@@ -9,9 +9,9 @@
 //  * a trapping lane commits its state, reports the solo run's exact
 //    SimError text, and never tears down its cohort;
 //  * per-lane unpack/restore round trips;
-//  * SimulationService cohorts: submit_cohort and run_all's transparent
-//    packing resolve every job bit-identically to a standalone engine,
-//    at multiple worker-pool widths, across >32-job same-image batches.
+//  * SimulationService cohorts: submit_cohort resolves every job
+//    bit-identically to a standalone engine, at multiple worker-pool
+//    widths, across >32-job same-image batches.
 #include "sim/fleet.hpp"
 
 #include <gtest/gtest.h>
@@ -294,56 +294,6 @@ TEST(ServiceCohort, CohortResolvesEveryJobBitIdenticalToStandalone) {
   }
 }
 
-TEST(ServiceCohort, RunAllPacksFleetJobsTransparently) {
-  // run_all must pack fleet jobs sharing an image into cohorts while
-  // non-fleet siblings (and a second image's fleet jobs) keep their
-  // own lanes/engines — with results in job order, bit-identical to
-  // standalone runs, at every pool width.
-  const std::shared_ptr<const DecodedImage> image = decode(isa::assemble(fleet_loop_source()));
-  const std::shared_ptr<const DecodedImage> other = decode(isa::assemble(fleet_trap_source()));
-  constexpr RunOptions kBudget{50};
-
-  auto build = [&](SimulationService& service) {
-    for (int i = 0; i < 6; ++i) {
-      service.add(image, EngineKind::kFleet, RunOptions{static_cast<uint64_t>(10 * i)});
-      service.add(image, EngineKind::kSuperblock, kBudget);
-    }
-    service.add(other, EngineKind::kFleet, kBudget);  // traps: its own cohort
-  };
-
-  std::vector<JobResult> sequential;
-  for (unsigned threads : {1u, 2u, 4u}) {
-    SimulationService service(threads);
-    build(service);
-    const std::vector<JobResult> results = service.run_all();
-    ASSERT_EQ(results.size(), 13u);
-
-    if (threads == 1u) {
-      sequential = results;
-    } else {
-      for (std::size_t i = 0; i < results.size(); ++i) {
-        EXPECT_EQ(results[i].outcome, sequential[i].outcome) << threads << " threads, job " << i;
-        EXPECT_EQ(results[i].run.stats, sequential[i].run.stats)
-            << threads << " threads, job " << i;
-        EXPECT_EQ(results[i].run.state, sequential[i].run.state)
-            << threads << " threads, job " << i;
-      }
-    }
-
-    for (int i = 0; i < 6; ++i) {
-      const RunResult fleet_want =
-          make_engine(EngineKind::kFleet, image)->run({static_cast<uint64_t>(10 * i)});
-      EXPECT_EQ(results[2 * i].run.stats, fleet_want.stats) << "fleet job " << i;
-      EXPECT_EQ(results[2 * i].run.state, fleet_want.state) << "fleet job " << i;
-      const RunResult sb_want = make_engine(EngineKind::kSuperblock, image)->run(kBudget);
-      EXPECT_EQ(results[2 * i + 1].run.stats, sb_want.stats) << "superblock job " << i;
-      EXPECT_EQ(results[2 * i + 1].run.state, sb_want.state) << "superblock job " << i;
-    }
-    EXPECT_EQ(results[12].outcome, JobOutcome::kTrapped);
-    EXPECT_EQ(results[12].error, golden_trap_message(other));
-  }
-}
-
 TEST(ServiceCohort, TrappingLaneResolvesAloneWithTheSoloTrapText) {
   // One cohort mixing budgets over the trapping image: short-budget
   // lanes resolve kBudgetExhausted, trapping lanes kTrapped with the
@@ -366,7 +316,7 @@ TEST(ServiceCohort, TrappingLaneResolvesAloneWithTheSoloTrapText) {
     // engine, execute_job's classification).
     SimulationService solo_service(1);
     const JobResult solo =
-        solo_service.submit(image, EngineKind::kFleet, RunOptions{budgets[i]}).result();
+        solo_service.submit({image, EngineKind::kFleet, RunOptions{budgets[i]}}).result();
     EXPECT_EQ(got.outcome, solo.outcome) << "job " << i;
     EXPECT_EQ(got.error, solo.error) << "job " << i;
     EXPECT_EQ(got.run.stats, solo.run.stats) << "job " << i;

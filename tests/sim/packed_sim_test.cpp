@@ -18,8 +18,8 @@ TEST(PackedSim, UninitialisedFetchTrapsLikeReference) {
   isa::Program program;
   program.code.push_back(isa::Instruction{isa::Opcode::kAddi, 1, 0, ternary::kTritZ, 1});
   program.entry = 0;
-  auto reference = make_engine(EngineKind::kFunctional, program);
-  auto packed = make_engine(EngineKind::kPacked, program);
+  auto reference = make_engine(EngineKind::kFunctional, decode(program));
+  auto packed = make_engine(EngineKind::kPacked, decode(program));
   EXPECT_EQ(packed->kind(), EngineKind::kPacked);
   EXPECT_TRUE(reference->step());
   EXPECT_TRUE(packed->step());
@@ -30,29 +30,31 @@ TEST(PackedSim, UninitialisedFetchTrapsLikeReference) {
 
 TEST(PackedSim, MalformedImmediateThrowsAtDecodeTime) {
   // ADDI's imm3 range is [-13, 13]; 500 is unencodable.  Building the
-  // engine decodes the image, which must reject it before anything runs.
+  // image must reject it before anything runs.
   isa::Program program;
   program.code.push_back(isa::Instruction{isa::Opcode::kAddi, 1, 0, ternary::kTritZ, 500});
   program.code.push_back(isa::Instruction::halt());
   program.entry = 0;
-  EXPECT_THROW(static_cast<void>(make_engine(EngineKind::kPacked, program)), SimError);
+  EXPECT_THROW(static_cast<void>(make_engine(EngineKind::kPacked, decode(program))), SimError);
   // Same for the other pre-encoded immediate forms.
   for (isa::Opcode op : {isa::Opcode::kAndi, isa::Opcode::kLui, isa::Opcode::kLi}) {
     isa::Program p;
     p.code.push_back(isa::Instruction{op, 1, 0, ternary::kTritZ, 10'000});
     p.entry = 0;
-    EXPECT_THROW(static_cast<void>(make_engine(EngineKind::kPacked, p)), SimError)
+    EXPECT_THROW(static_cast<void>(make_engine(EngineKind::kPacked, decode(p))), SimError)
         << isa::mnemonic(op);
   }
 }
 
 TEST(PackedSim, InspectionAccessorsDecodeOnDemand) {
-  auto engine = make_engine(EngineKind::kPacked, isa::assemble("LIMM T1, -4567\nHALT\n"));
+  auto engine =
+      make_engine(EngineKind::kPacked, decode(isa::assemble("LIMM T1, -4567\nHALT\n")));
   const RunResult result = engine->run();
   EXPECT_EQ(result.halt, HaltReason::kHalted);
-  EXPECT_EQ(engine->reg_int(1), -4567);
-  EXPECT_EQ(engine->reg(1), ternary::Word9::from_int(-4567));
-  EXPECT_EQ(result.state.art9().trf.read(1), engine->reg(1));
+  const ternary::Word9 t1 = engine->state().art9().trf.read(1);
+  EXPECT_EQ(t1.to_int(), -4567);
+  EXPECT_EQ(t1, ternary::Word9::from_int(-4567));
+  EXPECT_EQ(result.state.art9().trf.read(1), t1);
 }
 
 }  // namespace

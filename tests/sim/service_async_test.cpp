@@ -73,7 +73,7 @@ TEST(JobHandle, DefaultConstructedIsEmpty) {
 
 TEST(JobHandle, SubmitResolvesCompleted) {
   SimulationService service(2);
-  JobHandle handle = service.submit(loop_image(), EngineKind::kFunctional);
+  JobHandle handle = service.submit({loop_image(), EngineKind::kFunctional});
   ASSERT_TRUE(handle.valid());
   const JobResult& result = handle.result();
   EXPECT_TRUE(handle.ready());
@@ -88,7 +88,7 @@ TEST(JobHandle, ResultsOutliveTheService) {
   JobHandle handle;
   {
     SimulationService service(1);
-    handle = service.submit(loop_image(), EngineKind::kPacked);
+    handle = service.submit({loop_image(), EngineKind::kPacked});
   }  // drain destructor: the job resolved before the pool joined
   ASSERT_TRUE(handle.ready());
   EXPECT_EQ(handle.result().outcome, JobOutcome::kCompleted);
@@ -97,7 +97,7 @@ TEST(JobHandle, ResultsOutliveTheService) {
 TEST(JobHandle, CompletionCallbacksFireExactlyOnce) {
   SimulationService service(2);
   std::atomic<int> fired{0};
-  JobHandle handle = service.submit(loop_image(), EngineKind::kFunctional);
+  JobHandle handle = service.submit({loop_image(), EngineKind::kFunctional});
   handle.on_complete([&](const JobResult& r) {
     EXPECT_EQ(r.outcome, JobOutcome::kCompleted);
     ++fired;
@@ -110,7 +110,7 @@ TEST(JobHandle, CompletionCallbacksFireExactlyOnce) {
 
 TEST(ServiceOutcomes, BudgetExhaustedAttachesPartialRun) {
   SimulationService service(1);
-  JobHandle handle = service.submit(spin_image(), EngineKind::kFunctional, RunOptions{1'000});
+  JobHandle handle = service.submit({spin_image(), EngineKind::kFunctional, RunOptions{1'000}});
   const JobResult& result = handle.result();
   EXPECT_EQ(result.outcome, JobOutcome::kBudgetExhausted);
   EXPECT_EQ(result.run.halt, HaltReason::kMaxCycles);
@@ -123,7 +123,7 @@ TEST(ServiceOutcomes, TrappedJobCarriesTheTrapText) {
   trap.code.push_back(isa::Instruction{isa::Opcode::kAddi, 1, 0, ternary::kTritZ, 1});
   trap.entry = 0;
   SimulationService service(1);
-  JobHandle handle = service.submit(decode(trap), EngineKind::kFunctional);
+  JobHandle handle = service.submit({decode(trap), EngineKind::kFunctional});
   const JobResult& result = handle.result();
   EXPECT_EQ(result.outcome, JobOutcome::kTrapped);
   EXPECT_FALSE(result.error.empty());
@@ -137,10 +137,10 @@ TEST(ServiceOutcomes, DeadlineExpiresAQueuedJob) {
   JobControls slow;
   slow.slice_steps = 1u << 14;  // tight slices: the blocker stays cancellable
   JobHandle blocker =
-      service.submit(spin_image(), EngineKind::kFunctional, RunOptions{100'000'000}, slow);
+      service.submit({spin_image(), EngineKind::kFunctional, {100'000'000}, {}, slow});
   JobControls controls;
   controls.deadline = 1ms;
-  JobHandle expired = service.submit(spin_image(), EngineKind::kFunctional, RunOptions{}, controls);
+  JobHandle expired = service.submit({spin_image(), EngineKind::kFunctional, {}, {}, controls});
   std::this_thread::sleep_for(5ms);
   blocker.cancel();
   EXPECT_EQ(blocker.result().outcome, JobOutcome::kCancelled);
@@ -154,7 +154,7 @@ TEST(ServiceOutcomes, DeadlineCutsARunningJob) {
   controls.deadline = 20ms;
   controls.slice_steps = 1u << 14;
   JobHandle handle =
-      service.submit(spin_image(), EngineKind::kFunctional, RunOptions{100'000'000'000}, controls);
+      service.submit({spin_image(), EngineKind::kFunctional, {100'000'000'000}, {}, controls});
   const JobResult& result = handle.result();
   EXPECT_EQ(result.outcome, JobOutcome::kDeadlineExceeded);
   EXPECT_GT(result.run.stats.cycles, 0u);  // it did run until the cut
@@ -173,7 +173,7 @@ TEST(ServiceOutcomes, StalledJobTripsItsDeadline) {
   controls.slice_steps = 1u << 12;
   controls.fault = plan;
   JobHandle handle =
-      service.submit(spin_image(), EngineKind::kFunctional, RunOptions{100'000'000'000}, controls);
+      service.submit({spin_image(), EngineKind::kFunctional, {100'000'000'000}, {}, controls});
   EXPECT_EQ(handle.result().outcome, JobOutcome::kDeadlineExceeded);
 }
 
@@ -182,7 +182,7 @@ TEST(ServiceOutcomes, CancelledMidRun) {
   JobControls controls;
   controls.slice_steps = 1u << 12;
   JobHandle handle =
-      service.submit(spin_image(), EngineKind::kFunctional, RunOptions{100'000'000'000}, controls);
+      service.submit({spin_image(), EngineKind::kFunctional, {100'000'000'000}, {}, controls});
   while (!handle.started()) std::this_thread::yield();
   handle.cancel();
   const JobResult& result = handle.result();
@@ -198,7 +198,7 @@ TEST(ServiceOutcomes, FaultedWhenRetriesExhausted) {
   JobControls controls;
   controls.retries = 2;
   controls.fault = plan;
-  JobHandle handle = service.submit(spin_image(), EngineKind::kFunctional, RunOptions{}, controls);
+  JobHandle handle = service.submit({spin_image(), EngineKind::kFunctional, {}, {}, controls});
   const JobResult& result = handle.result();
   EXPECT_EQ(result.outcome, JobOutcome::kFaulted);
   EXPECT_EQ(result.retries, 2u);
@@ -240,8 +240,9 @@ TEST(CheckpointRetry, RecoveredRunIsBitIdenticalAtAnyThreadCount) {
     controls.fault = plan;
 
     JobHandle art9_job =
-        service.submit(loop_image(), EngineKind::kFunctional, budget, controls);
-    JobHandle rv32_job = service.submit(rv32_loop_image(), EngineKind::kRv32, budget, controls);
+        service.submit({loop_image(), EngineKind::kFunctional, budget, {}, controls});
+    JobHandle rv32_job =
+        service.submit({rv32_loop_image(), EngineKind::kRv32, budget, {}, controls});
 
     const JobResult& recovered = art9_job.result();
     EXPECT_EQ(recovered.outcome, JobOutcome::kCompleted) << threads << " threads";
@@ -270,7 +271,7 @@ TEST(CheckpointRetry, FaultBeforeFirstCheckpointRestartsFromScratch) {
   controls.checkpoint_every = 256;
   controls.retries = 1;
   controls.fault = plan;
-  JobHandle handle = service.submit(loop_image(), EngineKind::kPacked, RunOptions{}, controls);
+  JobHandle handle = service.submit({loop_image(), EngineKind::kPacked, {}, {}, controls});
   const JobResult& result = handle.result();
   EXPECT_EQ(result.outcome, JobOutcome::kCompleted);
   EXPECT_EQ(result.retries, 1u);
@@ -294,7 +295,7 @@ TEST(CheckpointRetry, CorruptCheckpointIsDetectedAndDiscarded) {
   JobControls controls;
   controls.checkpoint_every = 100;
   controls.fault = plan;
-  JobHandle handle = service.submit(loop_image(), EngineKind::kFunctional, RunOptions{}, controls);
+  JobHandle handle = service.submit({loop_image(), EngineKind::kFunctional, {}, {}, controls});
   const JobResult& result = handle.result();
   EXPECT_EQ(result.outcome, JobOutcome::kCompleted);
   EXPECT_EQ(result.corrupt_checkpoints, 1u);
@@ -314,7 +315,7 @@ TEST(CheckpointRetry, CheckpointedRunWithoutFaultsMatchesPlainRun) {
     JobControls controls;
     controls.checkpoint_every = 64;
     controls.slice_steps = 100;
-    JobHandle handle = service.submit(loop_image(), kind, budget, controls);
+    JobHandle handle = service.submit({loop_image(), kind, budget, {}, controls});
     const JobResult& result = handle.result();
     EXPECT_EQ(result.outcome, JobOutcome::kCompleted) << engine_kind_name(kind);
     EXPECT_EQ(result.run.state, expected.state) << engine_kind_name(kind);

@@ -59,8 +59,8 @@ TEST(ServiceStress, ConcurrentSubmitCancelResubmitWhileBatchDrains) {
 
     // A background batch draining while the clients hammer the service.
     for (int i = 0; i < 24; ++i) {
-      batch.push_back(service.submit(work_image(), EngineKind::kPacked));
-      batch.push_back(service.submit(rv32_work_image(), EngineKind::kRv32));
+      batch.push_back(service.submit({work_image(), EngineKind::kPacked}));
+      batch.push_back(service.submit({rv32_work_image(), EngineKind::kRv32}));
     }
 
     std::vector<std::thread> clients;
@@ -76,10 +76,10 @@ TEST(ServiceStress, ConcurrentSubmitCancelResubmitWhileBatchDrains) {
             controls.retries = 1;
           }
           JobHandle handle = (c % 2 == 0)
-                                 ? service.submit(work_image(), EngineKind::kFunctional,
-                                                  RunOptions{5'000}, controls)
-                                 : service.submit(rv32_work_image(), EngineKind::kRv32,
-                                                  RunOptions{5'000}, controls);
+                                 ? service.submit({work_image(), EngineKind::kFunctional,
+                                                   RunOptions{5'000}, {}, controls})
+                                 : service.submit({rv32_work_image(), EngineKind::kRv32,
+                                                   RunOptions{5'000}, {}, controls});
           handle.on_complete([&](const JobResult&) { ++callbacks_fired; });
           if (j % 3 == 0) handle.cancel();  // races the worker: either order is fine
           if (j % 7 == 0) {
@@ -113,8 +113,8 @@ TEST(ServiceStress, CancelFromManyThreadsIsIdempotent) {
   JobControls controls;
   controls.slice_steps = 1u << 10;
   JobHandle handle = service.submit(
-      decode(isa::assemble("loop:\n  ADDI T1, 1\n  JAL T0, loop\n")), EngineKind::kFunctional,
-      RunOptions{100'000'000'000}, controls);
+      {decode(isa::assemble("loop:\n  ADDI T1, 1\n  JAL T0, loop\n")), EngineKind::kFunctional,
+       RunOptions{100'000'000'000}, {}, controls});
 
   std::vector<std::thread> cancellers;
   for (int i = 0; i < 8; ++i) cancellers.emplace_back([&] { handle.cancel(); });
@@ -128,7 +128,7 @@ TEST(ServiceStress, DestructorDrainsOutstandingJobs) {
   {
     SimulationService service(3);
     for (int i = 0; i < 30; ++i) {
-      handles.push_back(service.submit(work_image(), EngineKind::kFunctional));
+      handles.push_back(service.submit({work_image(), EngineKind::kFunctional}));
     }
   }  // drain: every job resolved before the pool joined
   for (JobHandle& handle : handles) {

@@ -10,6 +10,7 @@
 #include <array>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/benchmarks.hpp"
@@ -116,44 +117,56 @@ const std::array<std::string, 4>& rv32_batch_programs() {
   return kPrograms;
 }
 
-/// Queues the mixed cross-ISA batch: every ART-9 program on every ART-9
-/// engine kind, plus every rv32 program on both rv32 kinds, one job each.
-/// (The service itself is immovable — it owns a worker pool — so the
-/// helper fills a caller-owned instance.)
-void add_mixed_batch(SimulationService& service) {
+using Job = SimulationService::Job;
+
+// Callers build jobs field by field or as `{image, kind, {budget}}`.
+static_assert(std::is_aggregate_v<Job>);
+
+/// Submits `jobs` in order and collects one result per job, in job order.
+std::vector<JobResult> resolve_all(SimulationService& service, const std::vector<Job>& jobs) {
+  std::vector<JobHandle> handles;
+  for (const Job& job : jobs) handles.push_back(service.submit(job));
+  std::vector<JobResult> results;
+  for (const JobHandle& handle : handles) results.push_back(handle.result());
+  return results;
+}
+
+/// The mixed cross-ISA batch: every ART-9 program on every ART-9 engine
+/// kind, plus every rv32 program on both rv32 kinds, one job each.
+std::vector<Job> mixed_batch() {
+  std::vector<Job> jobs;
   for (const std::string& source : batch_programs()) {
-    const std::shared_ptr<const DecodedImage> image =
-        service.add(isa::assemble(source), EngineKind::kLazy, kBudget);
-    service.add(image, EngineKind::kFunctional, kBudget);
-    service.add(image, EngineKind::kPacked, kBudget);
-    service.add(image, EngineKind::kPipeline, kBudget);
-    service.add(image, EngineKind::kPackedPipeline, kBudget);
+    const std::shared_ptr<const DecodedImage> image = decode(isa::assemble(source));
+    for (EngineKind kind : {EngineKind::kLazy, EngineKind::kFunctional, EngineKind::kPacked,
+                            EngineKind::kPipeline, EngineKind::kPackedPipeline}) {
+      jobs.push_back({image, kind, kBudget});
+    }
   }
   for (const std::string& source : rv32_batch_programs()) {
     const std::shared_ptr<const rv32::Rv32DecodedImage> image =
-        service.add(rv32::assemble_rv32(source), EngineKind::kRv32, kBudget);
-    service.add(image, EngineKind::kRv32Packed, kBudget);
+        rv32::decode(rv32::assemble_rv32(source));
+    jobs.push_back({image, EngineKind::kRv32, kBudget});
+    jobs.push_back({image, EngineKind::kRv32Packed, kBudget});
   }
+  return jobs;
 }
 
 std::vector<JobResult> run_mixed_batch(unsigned threads) {
   SimulationService service(threads);
-  add_mixed_batch(service);
-  return service.run_all();
+  return resolve_all(service, mixed_batch());
 }
 
 TEST(SimulationService, MatchesStandaloneEngineRuns) {
   SimulationService service(1);
+  std::vector<Job> jobs;
   for (const std::string& source : batch_programs()) {
-    service.add(isa::assemble(source), EngineKind::kFunctional, kBudget);
+    jobs.push_back({decode(isa::assemble(source)), EngineKind::kFunctional, kBudget});
   }
-  ASSERT_EQ(service.size(), 8u);
-
-  const std::vector<JobResult> results = service.run_all();
+  const std::vector<JobResult> results = resolve_all(service, jobs);
   ASSERT_EQ(results.size(), 8u);
   for (std::size_t i = 0; i < results.size(); ++i) {
     std::unique_ptr<Engine> standalone =
-        make_engine(EngineKind::kFunctional, isa::assemble(batch_programs()[i]));
+        make_engine(EngineKind::kFunctional, decode(isa::assemble(batch_programs()[i])));
     const RunResult expected = standalone->run(kBudget);
     EXPECT_EQ(results[i].run.state, expected.state) << "program " << i;
     EXPECT_EQ(results[i].run.stats, expected.stats) << "program " << i;
@@ -167,14 +180,14 @@ TEST(SimulationService, MatchesStandaloneEngineRuns) {
 
 TEST(SimulationService, Rv32JobsMatchStandaloneEngineRuns) {
   SimulationService service(4);
+  std::vector<Job> jobs;
   for (const std::string& source : rv32_batch_programs()) {
-    service.add(rv32::assemble_rv32(source), EngineKind::kRv32Packed, kBudget);
+    jobs.push_back({rv32::decode(rv32::assemble_rv32(source)), EngineKind::kRv32Packed, kBudget});
   }
-  const std::vector<JobResult> results = service.run_all();
+  const std::vector<JobResult> results = resolve_all(service, jobs);
   ASSERT_EQ(results.size(), rv32_batch_programs().size());
   for (std::size_t i = 0; i < results.size(); ++i) {
-    std::unique_ptr<Engine> standalone =
-        make_engine(EngineKind::kRv32Packed, rv32::assemble_rv32(rv32_batch_programs()[i]));
+    std::unique_ptr<Engine> standalone = make_engine(EngineKind::kRv32Packed, jobs[i].image);
     const RunResult expected = standalone->run(kBudget);
     EXPECT_EQ(results[i].run.state, expected.state) << "program " << i;
     EXPECT_EQ(results[i].run.stats, expected.stats) << "program " << i;
@@ -203,13 +216,9 @@ TEST(SimulationService, SharedImageMatchesPerJobDecode) {
   const isa::Program program = isa::assemble(batch_programs()[1]);
 
   SimulationService service(4);
-  const std::shared_ptr<const DecodedImage> image =
-      service.add(program, EngineKind::kPacked, kBudget);
-  for (int i = 0; i < 7; ++i) service.add(image, EngineKind::kPacked, kBudget);
-  ASSERT_EQ(service.size(), 8u);
-
-  const std::vector<JobResult> results = service.run_all();
-  std::unique_ptr<Engine> standalone = make_engine(EngineKind::kPacked, program);
+  const std::vector<Job> jobs(8, Job{decode(program), EngineKind::kPacked, kBudget});
+  const std::vector<JobResult> results = resolve_all(service, jobs);
+  std::unique_ptr<Engine> standalone = make_engine(EngineKind::kPacked, decode(program));
   const RunResult expected = standalone->run(kBudget);
   for (std::size_t i = 0; i < results.size(); ++i) {
     EXPECT_EQ(results[i].run.state, expected.state) << "job " << i;
@@ -217,53 +226,25 @@ TEST(SimulationService, SharedImageMatchesPerJobDecode) {
   }
 }
 
-TEST(SimulationService, RunAllIsRepeatableAndReportsBatchStats) {
-  SimulationService service(0);  // hardware_concurrency default
-  EXPECT_GE(service.threads(), 1u);
-  service.add(isa::assemble(batch_programs()[1]), EngineKind::kFunctional, kBudget);
-  service.add(isa::assemble(batch_programs()[7]), EngineKind::kPacked, kBudget);
-
-  SimulationService::BatchStats batch;
-  const std::vector<JobResult> first = service.run_all(&batch);
-  const std::vector<JobResult> second = service.run_all();
-  ASSERT_EQ(first.size(), 2u);
-  ASSERT_EQ(second.size(), 2u);
-  for (std::size_t i = 0; i < first.size(); ++i) {
-    EXPECT_EQ(first[i].run.state, second[i].run.state);
-    EXPECT_EQ(first[i].run.stats, second[i].run.stats);
-  }
-
-  EXPECT_EQ(batch.instructions,
-            first[0].run.stats.instructions + first[1].run.stats.instructions);
-  EXPECT_EQ(batch.cycles, first[0].run.stats.cycles + first[1].run.stats.cycles);
-  EXPECT_GT(batch.wall_seconds, 0.0);
-  EXPECT_GE(batch.threads, 1u);
-  EXPECT_GT(batch.steps_per_sec(), 0.0);
-}
-
 TEST(SimulationService, TrappingJobDoesNotDiscardSiblingResults) {
-  // The run_all bugfix regression: the pre-async service rethrew the
-  // lowest-indexed job's exception and discarded every completed sibling.
-  // Now the trapping job resolves kTrapped (with the trap text) while its
-  // siblings return results bit-identical to standalone runs.
+  // A failing job never takes its siblings down: the trapping job
+  // resolves kTrapped (with the trap text) while its siblings return
+  // results bit-identical to standalone runs.
   isa::Program trap;
   trap.code.push_back(isa::Instruction{isa::Opcode::kAddi, 1, 0, ternary::kTritZ, 1});
   trap.entry = 0;
 
-  std::unique_ptr<Engine> first = make_engine(EngineKind::kFunctional,
-                                              isa::assemble(batch_programs()[0]));
-  const RunResult expected_first = first->run(kBudget);
-  std::unique_ptr<Engine> third =
-      make_engine(EngineKind::kPipeline, isa::assemble(batch_programs()[2]));
-  const RunResult expected_third = third->run(kBudget);
+  const std::shared_ptr<const DecodedImage> first = decode(isa::assemble(batch_programs()[0]));
+  const std::shared_ptr<const DecodedImage> third = decode(isa::assemble(batch_programs()[2]));
+  const RunResult expected_first = make_engine(EngineKind::kFunctional, first)->run(kBudget);
+  const RunResult expected_third = make_engine(EngineKind::kPipeline, third)->run(kBudget);
 
   for (unsigned threads : {1u, 4u}) {
     SimulationService service(threads);
-    service.add(isa::assemble(batch_programs()[0]), EngineKind::kFunctional, kBudget);
-    service.add(decode(trap), EngineKind::kPacked, kBudget);
-    service.add(isa::assemble(batch_programs()[2]), EngineKind::kPipeline, kBudget);
-
-    const std::vector<JobResult> results = service.run_all();
+    const std::vector<JobResult> results =
+        resolve_all(service, {{first, EngineKind::kFunctional, kBudget},
+                              {decode(trap), EngineKind::kPacked, kBudget},
+                              {third, EngineKind::kPipeline, kBudget}});
     ASSERT_EQ(results.size(), 3u) << threads << " threads";
 
     EXPECT_EQ(results[0].outcome, JobOutcome::kCompleted) << threads << " threads";
@@ -279,15 +260,15 @@ TEST(SimulationService, TrappingJobDoesNotDiscardSiblingResults) {
   }
 }
 
-TEST(SimulationService, NullImageRejectedAtAdd) {
+TEST(SimulationService, NullImageRejectedAtSubmit) {
   SimulationService service(1);
-  EXPECT_THROW(service.add(std::shared_ptr<const DecodedImage>{}, EngineKind::kPacked),
+  EXPECT_THROW(service.submit({std::shared_ptr<const DecodedImage>{}, EngineKind::kPacked}),
                std::invalid_argument);
 }
 
-TEST(SimulationService, MismatchedKindRejectedAtAdd) {
+TEST(SimulationService, MismatchedKindRejectedAtSubmit) {
   SimulationService service(1);
-  EXPECT_THROW(service.add(decode(isa::assemble(batch_programs()[0])), EngineKind::kRv32),
+  EXPECT_THROW(service.submit({decode(isa::assemble(batch_programs()[0])), EngineKind::kRv32}),
                std::invalid_argument);
 }
 
@@ -295,16 +276,18 @@ TEST(SimulationService, TranslatedBenchmarkBatchAcrossKinds) {
   // The paper's evaluation loop as one batch: all four translated
   // benchmarks, each on the packed and pipeline engines, scheduled wide.
   xlat::SoftwareFramework framework;
-  SimulationService service(0);
-  std::vector<std::shared_ptr<const DecodedImage>> images;
+  SimulationService service(0);  // hardware_concurrency default
+  EXPECT_GE(service.threads(), 1u);
+  std::vector<Job> jobs;
   for (const core::BenchmarkSources* bench : core::all_benchmarks()) {
-    images.push_back(decode(framework.translate(rv32::assemble_rv32(bench->rv32)).program));
-    service.add(images.back(), EngineKind::kPacked);
-    service.add(images.back(), EngineKind::kPipeline);
+    const std::shared_ptr<const DecodedImage> image =
+        decode(framework.translate(rv32::assemble_rv32(bench->rv32)).program);
+    jobs.push_back({image, EngineKind::kPacked});
+    jobs.push_back({image, EngineKind::kPipeline});
   }
-  const std::vector<JobResult> results = service.run_all();
-  ASSERT_EQ(results.size(), images.size() * 2);
-  for (std::size_t b = 0; b < images.size(); ++b) {
+  const std::vector<JobResult> results = resolve_all(service, jobs);
+  ASSERT_EQ(results.size(), jobs.size());
+  for (std::size_t b = 0; b < jobs.size() / 2; ++b) {
     const RunResult& packed = results[2 * b].run;
     const RunResult& pipeline = results[2 * b + 1].run;
     EXPECT_EQ(packed.halt, HaltReason::kHalted);
@@ -346,15 +329,14 @@ TEST(SimulationService, IntrospectionCountsEveryOutcomeExactlyOnce) {
   const std::shared_ptr<const DecodedImage> spin =
       decode(isa::assemble("loop:\n  ADDI T1, 1\n  JAL T0, loop\n"));
 
-  const JobHandle completed = service.submit(image, EngineKind::kFunctional, kBudget);
-  const JobHandle trapped = service.submit(decode(trap), EngineKind::kPacked, kBudget);
-  const JobHandle exhausted =
-      service.submit(spin, EngineKind::kFunctional, RunOptions{1000});
+  const JobHandle completed = service.submit({image, EngineKind::kFunctional, kBudget});
+  const JobHandle trapped = service.submit({decode(trap), EngineKind::kPacked, kBudget});
+  const JobHandle exhausted = service.submit({spin, EngineKind::kFunctional, RunOptions{1000}});
   // The cancelled job spins forever on a huge budget, so whether
   // cancel() lands while it is still queued or already running (it is
   // cut at the next slice boundary), kCancelled is the only outcome.
   const JobHandle cancelled =
-      service.submit(spin, EngineKind::kFunctional, RunOptions{100'000'000});
+      service.submit({spin, EngineKind::kFunctional, RunOptions{100'000'000}});
   cancelled.cancel();
 
   for (const JobHandle* handle : {&completed, &trapped, &exhausted, &cancelled}) {
@@ -384,8 +366,7 @@ TEST(SimulationService, IntrospectionCountersSurviveWideBatches) {
   // The counters are lock-free and shared with every JobState; a wide
   // threaded batch must still reconcile exactly once drained.
   SimulationService service(4);
-  add_mixed_batch(service);
-  const std::vector<JobResult> results = service.run_all();
+  const std::vector<JobResult> results = resolve_all(service, mixed_batch());
   EXPECT_EQ(service.submitted(), results.size());
   EXPECT_EQ(service.resolved(), results.size());
   EXPECT_EQ(service.in_flight(), 0u);

@@ -219,7 +219,7 @@ INSTANTIATE_TEST_SUITE_P(AllPairs, Rv32SnapshotResume, ::testing::ValuesIn(rv32_
 
 MachineState sample_art9_state() {
   std::unique_ptr<Engine> engine = make_engine(EngineKind::kFunctional,
-                                               isa::assemble(kArt9Source));
+                                               decode(isa::assemble(kArt9Source)));
   static_cast<void>(engine->run({11}));
   return engine->state();
 }
@@ -228,7 +228,7 @@ MachineState sample_rv32_state() {
   EngineOptions options;
   options.rv32_ram_bytes = 256;
   std::unique_ptr<Engine> engine =
-      make_engine(EngineKind::kRv32, rv32::assemble_rv32(kRv32Source), options);
+      make_engine(EngineKind::kRv32, rv32::decode(rv32::assemble_rv32(kRv32Source)), options);
   static_cast<void>(engine->run({11}));
   return engine->state();
 }
@@ -412,7 +412,8 @@ TEST(Snapshot, RoundTripsAPartialLastChunk) {
 TEST(Snapshot, BlobSizeFollowsTouchedRamNotRamSize) {
   // The default 1 MiB RAM with one word stored: one chunk travels.
   std::unique_ptr<Engine> engine = make_engine(
-      EngineKind::kRv32, rv32::assemble_rv32("li a0, 4096\nli a1, 0x1234\nsw a1, 0(a0)\nebreak\n"));
+      EngineKind::kRv32,
+      rv32::decode(rv32::assemble_rv32("li a0, 4096\nli a1, 0x1234\nsw a1, 0(a0)\nebreak\n")));
   ASSERT_EQ(engine->run({100}).halt, HaltReason::kHalted);
   const MachineState state = engine->state();
   ASSERT_EQ(state.rv32().ram.size(), 1u << 20);
@@ -480,10 +481,11 @@ TEST(Snapshot, RejectsNonzeroX0) {
 // ===========================================================================
 
 TEST(Snapshot, RestoreRejectsIsaMismatch) {
-  std::unique_ptr<Engine> art9 = make_engine(EngineKind::kPacked, isa::assemble("HALT\n"));
+  std::unique_ptr<Engine> art9 =
+      make_engine(EngineKind::kPacked, decode(isa::assemble("HALT\n")));
   EXPECT_THROW(art9->restore(sample_rv32_state()), SimError);
   std::unique_ptr<Engine> rv = make_engine(EngineKind::kRv32Packed,
-                                           rv32::assemble_rv32("ebreak\n"));
+                                           rv32::decode(rv32::assemble_rv32("ebreak\n")));
   EXPECT_THROW(rv->restore(sample_art9_state()), SimError);
 
   // The resume factory propagates the same contract.

@@ -122,7 +122,7 @@ const char* rv32_fused_source() {
 /// Runs `kind` on the program with the given budget and returns the
 /// uniform result (state + stats + halt).
 RunResult run_art9(EngineKind kind, const isa::Program& program, uint64_t budget) {
-  return make_engine(kind, program)->run({.max_steps = budget});
+  return make_engine(kind, decode(program))->run({.max_steps = budget});
 }
 
 /// Asserts two kinds agree bit-identically (state, stats, halt reason)
@@ -132,8 +132,8 @@ template <class Program>
 void expect_budget_sweep_identical(EngineKind golden_kind, EngineKind tested_kind,
                                    const Program& program, uint64_t limit) {
   for (uint64_t budget = 0; budget <= limit; ++budget) {
-    std::unique_ptr<Engine> golden = make_engine(golden_kind, program);
-    std::unique_ptr<Engine> tested = make_engine(tested_kind, program);
+    std::unique_ptr<Engine> golden = make_engine(golden_kind, decode(program));
+    std::unique_ptr<Engine> tested = make_engine(tested_kind, decode(program));
     const RunResult want = golden->run({.max_steps = budget});
     const RunResult got = tested->run({.max_steps = budget});
     EXPECT_EQ(want.stats, got.stats) << "budget=" << budget;
@@ -168,7 +168,7 @@ TEST(SuperblockPlan, FusedCorpusTakesEveryPattern) {
 
 TEST(SuperblockParity, FusedCorpusBitIdenticalAtEveryBudget) {
   const isa::Program program = isa::assemble(art9_fused_source());
-  const SimStats full = make_engine(EngineKind::kFunctional, program)->run_stats();
+  const SimStats full = make_engine(EngineKind::kFunctional, decode(program))->run_stats();
   ASSERT_EQ(full.halt, HaltReason::kHalted);
   expect_budget_sweep_identical(EngineKind::kFunctional, EngineKind::kSuperblock, program,
                                 full.instructions + 2);
@@ -176,7 +176,7 @@ TEST(SuperblockParity, FusedCorpusBitIdenticalAtEveryBudget) {
 
 TEST(SuperblockParity, EveryOpcodeCorpusBitIdenticalAtEveryBudget) {
   const isa::Program program = isa::assemble(art9_every_opcode_source());
-  const SimStats full = make_engine(EngineKind::kFunctional, program)->run_stats();
+  const SimStats full = make_engine(EngineKind::kFunctional, decode(program))->run_stats();
   ASSERT_EQ(full.halt, HaltReason::kHalted);
   expect_budget_sweep_identical(EngineKind::kFunctional, EngineKind::kSuperblock, program,
                                 full.instructions + 2);
@@ -221,7 +221,7 @@ TEST(SuperblockParity, AddiChainBitIdenticalAtEveryBudget) {
   )");
   const SuperblockSimulator sim(program);
   EXPECT_GT(sim.plan().fused_addi_chain, 0u);
-  const SimStats full = make_engine(EngineKind::kFunctional, program)->run_stats();
+  const SimStats full = make_engine(EngineKind::kFunctional, decode(program))->run_stats();
   ASSERT_EQ(full.halt, HaltReason::kHalted);
   expect_budget_sweep_identical(EngineKind::kFunctional, EngineKind::kSuperblock, program,
                                 full.instructions + 2);
@@ -245,8 +245,8 @@ TEST(SuperblockTrap, MidBlockTrapReportsPreciseFaultingPc) {
   // must match the golden model's bit-identically.
   const isa::Program program = isa::assemble("ADDI T1, 1\nADDI T2, 1\nADDI T3, 1\n");
 
-  std::unique_ptr<Engine> golden = make_engine(EngineKind::kFunctional, program);
-  std::unique_ptr<Engine> tested = make_engine(EngineKind::kSuperblock, program);
+  std::unique_ptr<Engine> golden = make_engine(EngineKind::kFunctional, decode(program));
+  std::unique_ptr<Engine> tested = make_engine(EngineKind::kSuperblock, decode(program));
   const std::string want = trap_message(*golden);
   const std::string got = trap_message(*tested);
   EXPECT_EQ(want, got);
@@ -318,7 +318,7 @@ TEST(Rv32SuperblockPlan, FusedCorpusTakesEveryPattern) {
 
 TEST(Rv32SuperblockParity, FusedCorpusBitIdenticalAtEveryBudget) {
   const rv32::Rv32Program program = rv32::assemble_rv32(rv32_fused_source());
-  const SimStats full = make_engine(EngineKind::kRv32, program)->run_stats();
+  const SimStats full = make_engine(EngineKind::kRv32, rv32::decode(program))->run_stats();
   ASSERT_EQ(full.halt, HaltReason::kHalted);
   expect_budget_sweep_identical(EngineKind::kRv32, EngineKind::kRv32Superblock, program,
                                 full.instructions + 2);
@@ -343,8 +343,8 @@ TEST(Rv32SuperblockTrap, MidBlockStoreTrapReportsPreciseFaultingPc) {
     ebreak
   )");
 
-  std::unique_ptr<Engine> golden = make_engine(EngineKind::kRv32, program);
-  std::unique_ptr<Engine> tested = make_engine(EngineKind::kRv32Superblock, program);
+  std::unique_ptr<Engine> golden = make_engine(EngineKind::kRv32, rv32::decode(program));
+  std::unique_ptr<Engine> tested = make_engine(EngineKind::kRv32Superblock, rv32::decode(program));
   const std::string want = trap_message(*golden);
   const std::string got = trap_message(*tested);
   EXPECT_EQ(want, got);
@@ -357,8 +357,8 @@ TEST(Rv32SuperblockTrap, FetchOffEndReportsPreciseFaultingPc) {
   const rv32::Rv32Program program =
       rv32::assemble_rv32("addi t0, t0, 1\naddi t1, t1, 2\naddi t2, t2, 3\n");
 
-  std::unique_ptr<Engine> golden = make_engine(EngineKind::kRv32, program);
-  std::unique_ptr<Engine> tested = make_engine(EngineKind::kRv32Superblock, program);
+  std::unique_ptr<Engine> golden = make_engine(EngineKind::kRv32, rv32::decode(program));
+  std::unique_ptr<Engine> tested = make_engine(EngineKind::kRv32Superblock, rv32::decode(program));
   const std::string want = trap_message(*golden);
   const std::string got = trap_message(*tested);
   EXPECT_EQ(want, got);

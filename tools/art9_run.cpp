@@ -82,18 +82,6 @@ int usage(bool help = false) {
   return help ? 0 : 2;
 }
 
-int outcome_exit_code(art9::sim::JobOutcome outcome) {
-  switch (outcome) {
-    case art9::sim::JobOutcome::kCompleted: return 0;
-    case art9::sim::JobOutcome::kTrapped: return 3;
-    case art9::sim::JobOutcome::kBudgetExhausted: return 4;
-    case art9::sim::JobOutcome::kDeadlineExceeded: return 5;
-    case art9::sim::JobOutcome::kCancelled: return 6;
-    case art9::sim::JobOutcome::kFaulted: return 7;
-  }
-  return 1;
-}
-
 void dump_regs(const art9::sim::MachineState& state) {
   if (state.is_rv32()) {
     for (int r = 0; r < 32; ++r) {
@@ -250,7 +238,7 @@ int main(int argc, char** argv) {
             : art9::sim::EngineImage(art9::sim::decode(art9::isa::read_image_file(input)));
 
     // One job through the service: the same scheduling, outcome and
-    // recovery machinery the batch/network front ends use.
+    // recovery machinery the network front end uses.
     art9::sim::SimulationService service(1);
 
     if (lanes > 1) {
@@ -273,7 +261,7 @@ int main(int argc, char** argv) {
           std::fprintf(stderr, "art9-run: lane %zu: %s\n", lane, lane_result.error.c_str());
         }
         if (lane_result.outcome == art9::sim::JobOutcome::kCompleted) ++lanes_completed;
-        worst = std::max(worst, outcome_exit_code(lane_result.outcome));
+        worst = std::max(worst, art9::sim::outcome_exit_code(lane_result.outcome));
       }
       std::printf("engine=%s lanes=%zu completed=%llu\n",
                   std::string(art9::sim::engine_kind_name(kind)).c_str(), handles.size(),
@@ -321,7 +309,7 @@ int main(int argc, char** argv) {
     }
     if (want_regs) dump_regs(result.run.state);
     if (mem_hi >= mem_lo) dump_mem(result.run.state, mem_lo, mem_hi);
-    return outcome_exit_code(result.outcome);
+    return art9::sim::outcome_exit_code(result.outcome);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "art9-run: %s\n", e.what());
     return 1;
