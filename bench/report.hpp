@@ -1,20 +1,10 @@
 // Shared table-rendering helpers for the reproduction benches.  Every
 // bench prints the paper's reported numbers next to the measured ones so
 // the shape comparison (who wins, by what factor) is visible at a glance.
-// Also hosts the steady-state timing harness (warmup + median-of-N); the
-// JSON emitter the trajectory files use lives in serve/json.hpp (shared
-// with the art9-serve HTTP front end) and is aliased back in below.
 #pragma once
 
-#include <algorithm>
-#include <chrono>
-#include <cstdint>
 #include <cstdio>
 #include <string>
-#include <utility>
-#include <vector>
-
-#include "serve/json.hpp"
 
 namespace art9::bench {
 
@@ -32,36 +22,5 @@ inline void paper_row(const char* metric, double paper, double measured, const c
 }
 
 inline void note(const std::string& text) { std::printf("  %s\n", text.c_str()); }
-
-// --- steady-state timing ------------------------------------------------------
-
-/// Median work-units-per-second over `reps` timed repetitions, after
-/// `warmup` untimed runs (first-touch page faults, cache/branch-predictor
-/// warm-in).  `fn` performs one complete run and returns its work-unit
-/// count (e.g. retired instructions); the median makes one descheduled rep
-/// harmless where a mean would not.
-template <typename Fn>
-[[nodiscard]] double median_rate(Fn&& fn, int warmup = 2, int reps = 5) {
-  using clock = std::chrono::steady_clock;
-  for (int i = 0; i < warmup; ++i) static_cast<void>(fn());
-  std::vector<double> rates;
-  rates.reserve(static_cast<std::size_t>(reps));
-  for (int i = 0; i < reps; ++i) {
-    const clock::time_point t0 = clock::now();
-    const uint64_t units = fn();
-    const std::chrono::duration<double> elapsed = clock::now() - t0;
-    rates.push_back(elapsed.count() > 0.0 ? static_cast<double>(units) / elapsed.count() : 0.0);
-  }
-  const std::size_t mid = rates.size() / 2;
-  std::nth_element(rates.begin(), rates.begin() + static_cast<std::ptrdiff_t>(mid), rates.end());
-  return rates[mid];
-}
-
-// --- machine-readable output ---------------------------------------------------
-
-/// The flat JSON object writer (moved to serve/json.hpp; write(path)
-/// renders the same bytes as it always did — locked by
-/// tests/serve/json_test.cpp).
-using JsonObject = ::art9::json::JsonObject;
 
 }  // namespace art9::bench

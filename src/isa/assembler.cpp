@@ -1,523 +1,140 @@
 #include "isa/assembler.hpp"
 
-#include <cctype>
-#include <map>
-#include <optional>
-#include <sstream>
-#include <vector>
+#include <stdexcept>
+#include <string>
 
 #include "isa/encoding.hpp"
 
 namespace art9::isa {
 namespace {
 
+using assembly::bits32;
+using assembly::iequals;
+using assembly::Statement;
 using ternary::Trit;
 using ternary::Word9;
 
-// --- small lexing helpers ----------------------------------------------
+bool in_word_range(int64_t v) { return v >= Word9::kMinValue && v <= Word9::kMaxValue; }
 
-std::string_view trim(std::string_view s) {
-  while (!s.empty() && std::isspace(static_cast<unsigned char>(s.front()))) s.remove_prefix(1);
-  while (!s.empty() && std::isspace(static_cast<unsigned char>(s.back()))) s.remove_suffix(1);
-  return s;
-}
-
-std::string upper(std::string_view s) {
-  std::string out(s);
-  for (char& c : out) c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
-  return out;
-}
-
-bool is_ident_start(char c) {
-  return std::isalpha(static_cast<unsigned char>(c)) || c == '_' || c == '.';
-}
-
-bool is_ident_char(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == '.';
-}
-
-/// Splits on top-level commas (commas inside parentheses do not split).
-std::vector<std::string_view> split_operands(std::string_view s) {
-  std::vector<std::string_view> out;
-  s = trim(s);
-  if (s.empty()) return out;
-  int depth = 0;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (s[i] == '(') ++depth;
-    if (s[i] == ')') --depth;
-    if (s[i] == ',' && depth == 0) {
-      out.push_back(trim(s.substr(start, i - start)));
-      start = i + 1;
-    }
+int parse_register(std::string_view tok) {
+  if (tok.size() == 2 && (tok[0] == 'T' || tok[0] == 't') && tok[1] >= '0' && tok[1] <= '8') {
+    return tok[1] - '0';
   }
-  out.push_back(trim(s.substr(start)));
-  return out;
+  throw std::invalid_argument("expected register T0..T8, got '" + std::string(tok) + "'");
 }
 
-// --- expression evaluator ----------------------------------------------
-//
-// Grammar: expr := term (('+' | '-') term)*
-//          term := factor ('*' factor)*
-//          factor := INT | IDENT | '(' expr ')' | ('+' | '-') factor
+Trit parse_bcond(std::string_view tok) {
+  if (tok == "+" || tok == "+1" || tok == "1" || iequals(tok, "P")) return ternary::kTritP;
+  if (tok == "0" || iequals(tok, "Z")) return ternary::kTritZ;
+  if (tok == "-" || tok == "-1" || iequals(tok, "N")) return ternary::kTritN;
+  throw std::invalid_argument("expected branch condition -,0,+ got '" + std::string(tok) + "'");
+}
 
-class ExprEval {
+class Art9Assembler final : public assembly::TwoPassAssembler {
  public:
-  ExprEval(std::string_view text, const std::map<std::string, int64_t>& symbols, int line)
-      : text_(text), symbols_(symbols), line_(line) {}
+  Art9Assembler() : TwoPassAssembler(/*data_word_size=*/1) {}
 
-  int64_t evaluate() {
-    int64_t v = expr();
-    skip_ws();
-    if (pos_ != text_.size()) {
-      throw AsmError(line_, "trailing characters in expression: '" + std::string(text_) + "'");
-    }
-    return v;
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < text_.size() && std::isspace(static_cast<unsigned char>(text_[pos_]))) ++pos_;
-  }
-
-  char peek() {
-    skip_ws();
-    return pos_ < text_.size() ? text_[pos_] : '\0';
-  }
-
-  int64_t expr() {
-    int64_t v = term();
-    for (;;) {
-      char c = peek();
-      if (c == '+') {
-        ++pos_;
-        v += term();
-      } else if (c == '-') {
-        ++pos_;
-        v -= term();
-      } else {
-        return v;
-      }
-    }
-  }
-
-  int64_t term() {
-    int64_t v = factor();
-    while (peek() == '*') {
-      ++pos_;
-      v *= factor();
-    }
-    return v;
-  }
-
-  int64_t factor() {
-    char c = peek();
-    if (c == '+') {
-      ++pos_;
-      return factor();
-    }
-    if (c == '-') {
-      ++pos_;
-      return -factor();
-    }
-    if (c == '(') {
-      ++pos_;
-      int64_t v = expr();
-      if (peek() != ')') throw AsmError(line_, "missing ')' in expression");
-      ++pos_;
-      return v;
-    }
-    if (std::isdigit(static_cast<unsigned char>(c))) {
-      int64_t v = 0;
-      while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        v = v * 10 + (text_[pos_] - '0');
-        ++pos_;
-      }
-      return v;
-    }
-    if (is_ident_start(c)) {
-      std::size_t start = pos_;
-      while (pos_ < text_.size() && is_ident_char(text_[pos_])) ++pos_;
-      std::string name(text_.substr(start, pos_ - start));
-      auto it = symbols_.find(name);
-      if (it == symbols_.end()) throw AsmError(line_, "undefined symbol '" + name + "'");
-      return it->second;
-    }
-    throw AsmError(line_, "malformed expression: '" + std::string(text_) + "'");
-  }
-
-  std::string_view text_;
-  const std::map<std::string, int64_t>& symbols_;
-  int line_;
-  std::size_t pos_ = 0;
-};
-
-// --- statement model ----------------------------------------------------
-
-enum class Section { kText, kData };
-
-struct Stmt {
-  int line = 0;
-  Section section = Section::kText;
-  int64_t address = 0;  // balanced address assigned in pass 1
-  std::string head;     // upper-cased mnemonic or directive
-  std::vector<std::string> operands;
-};
-
-int parse_register(std::string_view tok, int line) {
-  std::string u = upper(trim(tok));
-  if (u.size() == 2 && u[0] == 'T' && u[1] >= '0' && u[1] <= '8') return u[1] - '0';
-  throw AsmError(line, "expected register T0..T8, got '" + std::string(tok) + "'");
-}
-
-Trit parse_bcond(std::string_view tok, int line) {
-  std::string u = std::string(trim(tok));
-  if (u == "+" || u == "+1" || u == "1" || u == "P" || u == "p") return ternary::kTritP;
-  if (u == "0" || u == "Z" || u == "z") return ternary::kTritZ;
-  if (u == "-" || u == "-1" || u == "N" || u == "n") return ternary::kTritN;
-  throw AsmError(line, "expected branch condition -,0,+ got '" + std::string(tok) + "'");
-}
-
-/// True if `tok` should be read as a symbol address (branch targets): a bare
-/// identifier rather than a numeric/parenthesised offset expression.
-bool is_bare_identifier(std::string_view tok) {
-  tok = trim(tok);
-  if (tok.empty() || !is_ident_start(tok.front())) return false;
-  for (char c : tok) {
-    if (!is_ident_char(c)) return false;
-  }
-  return true;
-}
-
-class Assembler {
- public:
   Program run(std::string_view source) {
-    parse_lines(source);
-    layout();
-    emit();
+    Layout layout = assemble(source);
+    program_.symbols = std::move(layout.symbols);
+    program_.entry = layout.entry;
     return std::move(program_);
   }
 
  private:
-  // Pass 0: split into labelled statements.
-  void parse_lines(std::string_view source) {
-    int line_no = 0;
-    std::size_t pos = 0;
-    while (pos <= source.size()) {
-      std::size_t eol = source.find('\n', pos);
-      std::string_view line = source.substr(pos, eol == std::string_view::npos ? std::string_view::npos : eol - pos);
-      pos = eol == std::string_view::npos ? source.size() + 1 : eol + 1;
-      ++line_no;
-
-      // Strip comments.
-      for (std::size_t i = 0; i < line.size(); ++i) {
-        if (line[i] == ';' || line[i] == '#') {
-          line = line.substr(0, i);
-          break;
-        }
-      }
-      line = trim(line);
-      // Peel off labels.
-      while (!line.empty()) {
-        std::size_t colon = line.find(':');
-        if (colon == std::string_view::npos) break;
-        std::string_view label = trim(line.substr(0, colon));
-        if (!is_bare_identifier(label)) {
-          throw AsmError(line_no, "bad label '" + std::string(label) + "'");
-        }
-        pending_labels_.emplace_back(line_no, std::string(label));
-        line = trim(line.substr(colon + 1));
-      }
-      if (line.empty()) continue;
-
-      Stmt st;
-      st.line = line_no;
-      std::size_t sp = 0;
-      while (sp < line.size() && !std::isspace(static_cast<unsigned char>(line[sp]))) ++sp;
-      st.head = upper(line.substr(0, sp));
-      for (std::string_view rest = trim(line.substr(sp)); std::string_view tok : split_operands(rest)) {
-        st.operands.emplace_back(tok);
-      }
-      attach_labels(st);
-      stmts_.push_back(std::move(st));
-    }
-    if (!pending_labels_.empty()) {
-      // Labels at end of file bind to the end address; synthesise an empty
-      // marker statement.
-      Stmt st;
-      st.line = pending_labels_.front().first;
-      st.head = ".END_LABELS";
-      attach_labels(st);
-      stmts_.push_back(std::move(st));
-    }
+  int64_t instruction_size(const Statement& st) override {
+    return iequals(st.head, "LIMM") ? 2 : 1;
   }
 
-  void attach_labels(Stmt& st) {
-    for (auto& [line, name] : pending_labels_) labels_for_stmt_[stmts_.size()].emplace_back(line, name);
-    pending_labels_.clear();
-    (void)st;
-  }
-
-  /// Words a statement will occupy in its section.
-  int64_t size_of(const Stmt& st) {
-    if (st.head.empty() || st.head == ".END_LABELS") return 0;
-    if (st.head[0] == '.') {
-      if (st.head == ".WORD") return static_cast<int64_t>(st.operands.size());
-      if (st.head == ".ZERO") {
-        ExprEval ev(st.operands.at(0), equs_, st.line);
-        int64_t n = ev.evaluate();
-        if (n < 0) throw AsmError(st.line, ".zero count must be non-negative");
-        return n;
-      }
-      return 0;
-    }
-    if (st.head == "LIMM") return 2;
-    return 1;  // real instruction, NOP, HALT
-  }
-
-  // Pass 1: assign addresses, bind labels, record .equ.
-  void layout() {
-    int64_t text_addr = 0;
-    int64_t data_addr = 0;
-    Section section = Section::kText;
-    bool code_started = false;
-    for (std::size_t i = 0; i < stmts_.size(); ++i) {
-      Stmt& st = stmts_[i];
-      st.section = section;
-      int64_t& addr = section == Section::kText ? text_addr : data_addr;
-
-      if (st.head == ".TEXT") {
-        section = Section::kText;
-        continue;
-      }
-      if (st.head == ".DATA") {
-        section = Section::kData;
-        continue;
-      }
-      if (st.head == ".ORG") {
-        if (st.operands.size() != 1) throw AsmError(st.line, ".org takes one operand");
-        ExprEval ev(st.operands[0], equs_, st.line);
-        if (section == Section::kText) {
-          // The code image is contiguous; .org may only set the entry point
-          // before the first instruction.
-          if (code_started) throw AsmError(st.line, ".org after code is not supported");
-          text_addr = ev.evaluate();
-          program_.entry = text_addr;
-        } else {
-          data_addr = ev.evaluate();
-        }
-        continue;
-      }
-      if (st.head == ".EQU") {
-        if (st.operands.size() != 2) throw AsmError(st.line, ".equ takes NAME, value");
-        std::string name(trim(st.operands[0]));
-        if (!is_bare_identifier(name)) throw AsmError(st.line, "bad .equ name '" + name + "'");
-        ExprEval ev(st.operands[1], equs_, st.line);
-        define_symbol(st.line, name, ev.evaluate(), /*is_equ=*/true);
-        continue;
-      }
-
-      // Bind labels pending on this statement to the current address.
-      auto it = labels_for_stmt_.find(i);
-      if (it != labels_for_stmt_.end()) {
-        for (auto& [line, name] : it->second) define_symbol(line, name, addr, false);
-      }
-      st.address = addr;
-      const int64_t words = size_of(st);
-      if (section == Section::kText && words > 0) code_started = true;
-      addr += words;
-    }
-  }
-
-  void define_symbol(int line, const std::string& name, int64_t value, bool is_equ) {
-    if (program_.symbols.contains(name)) {
-      throw AsmError(line, "duplicate symbol '" + name + "'");
-    }
-    program_.symbols[name] = value;
-    if (is_equ) equs_[name] = value;
-  }
-
-  // Pass 2: encode.
-  void emit() {
-    for (const Stmt& st : stmts_) {
-      if (st.head.empty() || st.head == ".END_LABELS") continue;
-      if (st.head[0] == '.') {
-        emit_directive(st);
-        continue;
-      }
-      if (st.section == Section::kData) {
-        throw AsmError(st.line, "instructions are not allowed in .data");
-      }
-      emit_instruction(st);
-    }
-  }
-
-  void emit_directive(const Stmt& st) {
-    if (st.head == ".WORD") {
-      if (st.section != Section::kData) throw AsmError(st.line, ".word requires .data");
-      int64_t addr = st.address;
-      for (const std::string& opnd : st.operands) {
-        ExprEval ev(opnd, program_.symbols, st.line);
-        int64_t v = ev.evaluate();
-        if (v < Word9::kMinValue || v > Word9::kMaxValue) {
-          throw AsmError(st.line, ".word value out of 9-trit range: " + std::to_string(v));
-        }
-        program_.data.push_back(DataWord{addr++, Word9::from_int(v)});
-      }
-      return;
-    }
-    if (st.head == ".ZERO") {
-      if (st.section != Section::kData) throw AsmError(st.line, ".zero requires .data");
-      ExprEval ev(st.operands.at(0), equs_, st.line);
-      int64_t n = ev.evaluate();
-      for (int64_t k = 0; k < n; ++k) {
-        program_.data.push_back(DataWord{st.address + k, Word9{}});
-      }
-      return;
-    }
-    if (st.head == ".TEXT" || st.head == ".DATA" || st.head == ".ORG" || st.head == ".EQU") return;
-    throw AsmError(st.line, "unknown directive '" + st.head + "'");
-  }
-
-  int64_t eval(const std::string& text, int line) {
-    ExprEval ev(text, program_.symbols, line);
-    return ev.evaluate();
-  }
-
-  /// Branch/jump target: bare identifiers are absolute addresses (the
-  /// assembler forms the PC-relative offset); anything else is a raw
-  /// offset expression.
-  int64_t target_offset(const std::string& tok, int64_t pc, int line) {
-    if (is_bare_identifier(tok)) {
-      auto it = program_.symbols.find(std::string(trim(tok)));
-      if (it == program_.symbols.end()) throw AsmError(line, "undefined label '" + tok + "'");
-      return it->second - pc;
-    }
-    return eval(tok, line);
-  }
-
-  void push_code(const Stmt& st, const Instruction& inst) {
-    try {
-      program_.image.push_back(encode(inst));
-    } catch (const EncodeError& e) {
-      throw AsmError(st.line, e.what());
-    }
-    program_.code.push_back(inst);
-  }
-
-  void require_operands(const Stmt& st, std::size_t n) {
-    if (st.operands.size() != n) {
-      std::ostringstream os;
-      os << st.head << " expects " << n << " operand(s), got " << st.operands.size();
-      throw AsmError(st.line, os.str());
-    }
-  }
-
-  void emit_instruction(const Stmt& st) {
+  void instruction(const Statement& st) override {
+    const auto reg = [&](std::size_t i) { return parse_register(st.operands[i]); };
     // Pseudo-instructions first.
-    if (st.head == "NOP") {
-      require_operands(st, 0);
-      push_code(st, Instruction::nop());
+    if (iequals(st.head, "NOP") || iequals(st.head, "HALT")) {
+      st.expect_operands(0);
+      push(iequals(st.head, "NOP") ? Instruction::nop() : Instruction::halt());
       return;
     }
-    if (st.head == "HALT") {
-      require_operands(st, 0);
-      push_code(st, Instruction::halt());
-      return;
-    }
-    if (st.head == "LIMM") {
-      require_operands(st, 2);
-      int ta = parse_register(st.operands[0], st.line);
-      int64_t v = eval(st.operands[1], st.line);
-      if (v < Word9::kMinValue || v > Word9::kMaxValue) {
-        throw AsmError(st.line, "LIMM value out of 9-trit range: " + std::to_string(v));
+    if (iequals(st.head, "LIMM")) {
+      st.expect_operands(2);
+      const int ta = reg(0);
+      const int64_t v = value(st.operands[1]);
+      if (!in_word_range(v)) {
+        throw std::out_of_range("LIMM value out of 9-trit range: " + std::to_string(v));
       }
-      Word9 w = Word9::from_int(v);
-      const int hi = static_cast<int>(w.slice<4>(5).to_int());
-      const int lo = static_cast<int>(w.slice<5>(0).to_int());
-      push_code(st, Instruction{Opcode::kLui, ta, 0, ternary::kTritZ, hi});
-      push_code(st, Instruction{Opcode::kLi, ta, 0, ternary::kTritZ, lo});
+      const Word9 w = Word9::from_int(v);
+      push({Opcode::kLui, ta, 0, ternary::kTritZ, static_cast<int>(w.slice<4>(5).to_int())});
+      push({Opcode::kLi, ta, 0, ternary::kTritZ, static_cast<int>(w.slice<5>(0).to_int())});
       return;
     }
 
-    Opcode op;
-    try {
-      op = opcode_from_mnemonic(st.head);
-    } catch (const std::invalid_argument& e) {
-      throw AsmError(st.line, e.what());
-    }
-    const OpcodeSpec& s = spec(op);
     Instruction inst;
-    inst.op = op;
-    switch (s.format) {
+    inst.op = opcode_from_mnemonic(st.head);
+    switch (spec(inst.op).format) {
       case Format::kRBinary:
       case Format::kRUnary:
-        require_operands(st, 2);
-        inst.ta = parse_register(st.operands[0], st.line);
-        inst.tb = parse_register(st.operands[1], st.line);
+        st.expect_operands(2);
+        inst.ta = reg(0);
+        inst.tb = reg(1);
         break;
       case Format::kImm3:
       case Format::kShiftImm:
       case Format::kLui:
       case Format::kLi:
-        require_operands(st, 2);
-        inst.ta = parse_register(st.operands[0], st.line);
-        inst.imm = static_cast<int>(eval(st.operands[1], st.line));
+        st.expect_operands(2);
+        inst.ta = reg(0);
+        inst.imm = bits32(value(st.operands[1]));
         break;
       case Format::kBranch:
-        require_operands(st, 3);
-        inst.tb = parse_register(st.operands[0], st.line);
-        inst.bcond = parse_bcond(st.operands[1], st.line);
-        inst.imm = static_cast<int>(target_offset(st.operands[2], st.address, st.line));
+        st.expect_operands(3);
+        inst.tb = reg(0);
+        inst.bcond = parse_bcond(st.operands[1]);
+        inst.imm = bits32(offset(st, st.operands[2]));
         break;
       case Format::kJal:
-        require_operands(st, 2);
-        inst.ta = parse_register(st.operands[0], st.line);
-        inst.imm = static_cast<int>(target_offset(st.operands[1], st.address, st.line));
+        st.expect_operands(2);
+        inst.ta = reg(0);
+        inst.imm = bits32(offset(st, st.operands[1]));
         break;
-      case Format::kJalr:
-        require_operands(st, 3);
-        inst.ta = parse_register(st.operands[0], st.line);
-        inst.tb = parse_register(st.operands[1], st.line);
-        inst.imm = static_cast<int>(eval(st.operands[2], st.line));
-        break;
-      case Format::kMem: {
-        // Either `Ta, imm(Tb)` or `Ta, Tb, imm`.
-        inst.ta = parse_register(st.operands.at(0), st.line);
-        if (st.operands.size() == 2) {
-          std::string_view rest = st.operands[1];
-          std::size_t open = rest.find('(');
-          std::size_t close = rest.rfind(')');
-          if (open == std::string_view::npos || close == std::string_view::npos || close < open) {
-            throw AsmError(st.line, "expected imm(Tb) memory operand");
-          }
-          const auto imm_view = trim(rest.substr(0, open));
-          const std::string imm_text(imm_view.empty() ? std::string_view("0") : imm_view);
-          inst.imm = static_cast<int>(eval(imm_text, st.line));
-          inst.tb = parse_register(rest.substr(open + 1, close - open - 1), st.line);
-        } else {
-          require_operands(st, 3);
-          inst.tb = parse_register(st.operands[1], st.line);
-          inst.imm = static_cast<int>(eval(st.operands[2], st.line));
+      case Format::kMem:
+        if (st.operands.size() == 2) {  // Ta, imm(Tb)
+          inst.ta = reg(0);
+          const auto [imm, base] = memory_operand(st.operands[1]);
+          inst.imm = bits32(imm);
+          inst.tb = parse_register(base);
+          break;
         }
+        [[fallthrough]];  // Ta, Tb, imm
+      case Format::kJalr:
+        st.expect_operands(3);
+        inst.ta = reg(0);
+        inst.tb = reg(1);
+        inst.imm = bits32(value(st.operands[2]));
         break;
-      }
     }
-    push_code(st, inst);
+    push(inst);
+  }
+
+  void data_word(int64_t address, int64_t word) override {
+    if (!in_word_range(word)) {
+      throw std::out_of_range(".word value out of 9-trit range: " + std::to_string(word));
+    }
+    if (!in_word_range(address)) {
+      throw std::out_of_range("data address " + std::to_string(address) +
+                              " outside the TDM [-9841, 9841]");
+    }
+    program_.data.push_back(DataWord{address, Word9::from_int(word)});
+  }
+
+  void push(const Instruction& inst) {
+    program_.image.push_back(encode(inst));
+    program_.code.push_back(inst);
   }
 
   Program program_;
-  std::vector<Stmt> stmts_;
-  std::map<std::string, int64_t> equs_;
-  std::vector<std::pair<int, std::string>> pending_labels_;
-  std::map<std::size_t, std::vector<std::pair<int, std::string>>> labels_for_stmt_;
 };
 
 }  // namespace
 
-Program assemble(std::string_view source) {
-  Assembler assembler;
-  return assembler.run(source);
-}
+Program assemble(std::string_view source) { return Art9Assembler().run(source); }
 
 }  // namespace art9::isa

@@ -1,20 +1,14 @@
-// Two-pass assembler for ART-9 assembly text.
+// Two-pass assembler for ART-9 assembly text.  Comments, labels,
+// directives and expressions are the shared dialect of asm/source.hpp;
+// this file adds the ART-9 parts:
 //
-// Syntax (one statement per line; ';' or '#' starts a comment):
-//
-//   .org <expr>            set the current section address
-//   .equ NAME, <expr>      define a constant
-//   .text / .data          switch section (code -> TIM, data -> TDM)
-//   .word <expr>[, ...]    emit initialised data words (data section)
-//   .zero <count>          emit zero-initialised words (data section)
-//   label:                 bind `label` to the current address
 //   MNEMONIC operands      one of the 24 Table-I instructions
 //
-// Operands: registers T0..T8; immediates as decimal constants, .equ names
-// or labels; branch/jump targets as labels (the assembler computes the
-// PC-relative offset) or explicit numeric offsets; memory operands as
-// `imm(Tb)` or `Ta, Tb, imm`.  The B operand of BEQ/BNE is '-', '0' or
-// '+' (also accepted: -1, 0, 1).
+// Registers are T0..T8.  Branch/jump targets are labels (the assembler
+// computes the PC-relative offset) or explicit offsets; memory operands
+// are `imm(Tb)` or `Ta, Tb, imm`.  The B operand of BEQ/BNE is '-', '0'
+// or '+' (also accepted: -1, 0, 1 and N, Z, P).  A data word is one TDM
+// word: its value and its balanced address lie in [-9841, 9841].
 //
 // Pseudo-instructions:
 //   NOP              -> ADDI T0, 0       (paper §IV-B)
@@ -22,25 +16,14 @@
 //   LIMM Ta, <expr>  -> LUI Ta, hi4 ; LI Ta, lo5   (full 9-trit constant)
 #pragma once
 
-#include <stdexcept>
-#include <string>
 #include <string_view>
 
+#include "asm/source.hpp"
 #include "isa/program.hpp"
 
 namespace art9::isa {
 
-/// Assembly diagnostics carry the 1-based source line.
-class AsmError : public std::runtime_error {
- public:
-  AsmError(int line, const std::string& message)
-      : std::runtime_error("line " + std::to_string(line) + ": " + message), line_(line) {}
-
-  [[nodiscard]] int line() const noexcept { return line_; }
-
- private:
-  int line_;
-};
+using AsmError = assembly::AsmError;
 
 /// Assembles `source` into a program.  Throws AsmError on the first
 /// diagnostic.

@@ -1,588 +1,179 @@
 #include "rv32/rv32_assembler.hpp"
 
-#include <cctype>
-#include <map>
-#include <optional>
-#include <sstream>
-#include <vector>
+#include <limits>
+#include <stdexcept>
+#include <string>
+#include <tuple>
 
 namespace art9::rv32 {
 namespace {
 
-std::string_view trim(std::string_view s) {
-  while (!s.empty() && std::isspace(static_cast<unsigned char>(s.front()))) s.remove_prefix(1);
-  while (!s.empty() && std::isspace(static_cast<unsigned char>(s.back()))) s.remove_suffix(1);
-  return s;
-}
+using assembly::bits32;
+using assembly::iequals;
+using assembly::Statement;
 
-std::string lower(std::string_view s) {
-  std::string out(s);
-  for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  return out;
-}
+bool fits_addi(int64_t v) { return v >= -2048 && v <= 2047; }
 
-bool is_ident_start(char c) {
-  return std::isalpha(static_cast<unsigned char>(c)) || c == '_' || c == '.';
-}
-bool is_ident_char(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == '.';
-}
-
-bool is_bare_identifier(std::string_view tok) {
-  tok = trim(tok);
-  if (tok.empty() || !is_ident_start(tok.front())) return false;
-  for (char c : tok) {
-    if (!is_ident_char(c)) return false;
-  }
-  return true;
-}
-
-std::vector<std::string_view> split_operands(std::string_view s) {
-  std::vector<std::string_view> out;
-  s = trim(s);
-  if (s.empty()) return out;
-  int depth = 0;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (s[i] == '(') ++depth;
-    if (s[i] == ')') --depth;
-    if (s[i] == ',' && depth == 0) {
-      out.push_back(trim(s.substr(start, i - start)));
-      start = i + 1;
-    }
-  }
-  out.push_back(trim(s.substr(start)));
-  return out;
-}
-
-class ExprEval {
- public:
-  ExprEval(std::string_view text, const std::map<std::string, int64_t>& symbols, int line)
-      : text_(text), symbols_(symbols), line_(line) {}
-
-  int64_t evaluate() {
-    int64_t v = expr();
-    skip_ws();
-    if (pos_ != text_.size()) {
-      throw Rv32AsmError(line_, "trailing characters in expression: '" + std::string(text_) + "'");
-    }
-    return v;
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < text_.size() && std::isspace(static_cast<unsigned char>(text_[pos_]))) ++pos_;
-  }
-  char peek() {
-    skip_ws();
-    return pos_ < text_.size() ? text_[pos_] : '\0';
-  }
-  int64_t expr() {
-    int64_t v = term();
-    for (;;) {
-      char c = peek();
-      if (c == '+') {
-        ++pos_;
-        v += term();
-      } else if (c == '-') {
-        ++pos_;
-        v -= term();
-      } else {
-        return v;
-      }
-    }
-  }
-  int64_t term() {
-    int64_t v = factor();
-    while (peek() == '*') {
-      ++pos_;
-      v *= factor();
-    }
-    return v;
-  }
-  int64_t factor() {
-    char c = peek();
-    if (c == '+') {
-      ++pos_;
-      return factor();
-    }
-    if (c == '-') {
-      ++pos_;
-      return -factor();
-    }
-    if (c == '(') {
-      ++pos_;
-      int64_t v = expr();
-      if (peek() != ')') throw Rv32AsmError(line_, "missing ')' in expression");
-      ++pos_;
-      return v;
-    }
-    if (std::isdigit(static_cast<unsigned char>(c))) {
-      // Decimal or 0x hex.
-      int64_t v = 0;
-      if (c == '0' && pos_ + 1 < text_.size() && (text_[pos_ + 1] == 'x' || text_[pos_ + 1] == 'X')) {
-        pos_ += 2;
-        bool any = false;
-        while (pos_ < text_.size() && std::isxdigit(static_cast<unsigned char>(text_[pos_]))) {
-          const char h = text_[pos_];
-          int digit = 0;
-          if (h >= '0' && h <= '9') digit = h - '0';
-          else digit = 10 + (std::tolower(static_cast<unsigned char>(h)) - 'a');
-          v = v * 16 + digit;
-          ++pos_;
-          any = true;
-        }
-        if (!any) throw Rv32AsmError(line_, "malformed hex literal");
-        return v;
-      }
-      while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        v = v * 10 + (text_[pos_] - '0');
-        ++pos_;
-      }
-      return v;
-    }
-    if (is_ident_start(c)) {
-      std::size_t start = pos_;
-      while (pos_ < text_.size() && is_ident_char(text_[pos_])) ++pos_;
-      std::string name(text_.substr(start, pos_ - start));
-      auto it = symbols_.find(name);
-      if (it == symbols_.end()) throw Rv32AsmError(line_, "undefined symbol '" + name + "'");
-      return it->second;
-    }
-    throw Rv32AsmError(line_, "malformed expression: '" + std::string(text_) + "'");
-  }
-
-  std::string_view text_;
-  const std::map<std::string, int64_t>& symbols_;
-  int line_;
-  std::size_t pos_ = 0;
+/// Branch pseudo-ops: `op rs, target` compares rs with x0 and `op a, b,
+/// target` compares a with b; `swap` exchanges the compared registers.
+struct BranchAlias {
+  std::string_view name;
+  Rv32Op op;
+  std::size_t registers;
+  bool swap;
 };
 
-enum class Section { kText, kData };
-
-struct Stmt {
-  int line = 0;
-  Section section = Section::kText;
-  int64_t address = 0;
-  std::string head;  // lower-cased
-  std::vector<std::string> operands;
+constexpr BranchAlias kBranchAliases[] = {
+    {"beqz", Rv32Op::kBeq, 1, false}, {"bnez", Rv32Op::kBne, 1, false},
+    {"bltz", Rv32Op::kBlt, 1, false}, {"bgez", Rv32Op::kBge, 1, false},
+    {"bgtz", Rv32Op::kBlt, 1, true},  {"blez", Rv32Op::kBge, 1, true},
+    {"ble", Rv32Op::kBge, 2, true},   {"bgt", Rv32Op::kBlt, 2, true},
+    {"bleu", Rv32Op::kBgeu, 2, true}, {"bgtu", Rv32Op::kBltu, 2, true},
 };
 
-class Rv32Assembler {
+class Rv32Assembler final : public assembly::TwoPassAssembler {
  public:
+  Rv32Assembler() : TwoPassAssembler(/*data_word_size=*/4) {}
+
   Rv32Program run(std::string_view source) {
-    parse_lines(source);
-    layout();
-    emit();
+    Layout layout = assemble(source);
+    program_.symbols = std::move(layout.symbols);
+    program_.entry = static_cast<uint32_t>(layout.entry);
     return std::move(program_);
   }
 
  private:
-  void parse_lines(std::string_view source) {
-    int line_no = 0;
-    std::size_t pos = 0;
-    while (pos <= source.size()) {
-      std::size_t eol = source.find('\n', pos);
-      std::string_view line =
-          source.substr(pos, eol == std::string_view::npos ? std::string_view::npos : eol - pos);
-      pos = eol == std::string_view::npos ? source.size() + 1 : eol + 1;
-      ++line_no;
-      for (std::size_t i = 0; i < line.size(); ++i) {
-        if (line[i] == ';' || line[i] == '#') {
-          line = line.substr(0, i);
-          break;
-        }
-      }
-      line = trim(line);
-      while (!line.empty()) {
-        std::size_t colon = line.find(':');
-        if (colon == std::string_view::npos) break;
-        std::string_view label = trim(line.substr(0, colon));
-        if (!is_bare_identifier(label)) throw Rv32AsmError(line_no, "bad label");
-        pending_labels_.emplace_back(line_no, std::string(label));
-        line = trim(line.substr(colon + 1));
-      }
-      if (line.empty()) continue;
-      Stmt st;
-      st.line = line_no;
-      std::size_t sp = 0;
-      while (sp < line.size() && !std::isspace(static_cast<unsigned char>(line[sp]))) ++sp;
-      st.head = lower(line.substr(0, sp));
-      for (std::string_view rest = trim(line.substr(sp)); std::string_view tok : split_operands(rest)) {
-        st.operands.emplace_back(tok);
-      }
-      attach_labels();
-      stmts_.push_back(std::move(st));
-    }
-    if (!pending_labels_.empty()) {
-      Stmt st;
-      st.line = pending_labels_.front().first;
-      st.head = ".end_labels";
-      attach_labels();
-      stmts_.push_back(std::move(st));
-    }
+  int64_t instruction_size(const Statement& st) override {
+    if (iequals(st.head, "la")) return 8;
+    if (!iequals(st.head, "li")) return 4;
+    // A constant known here that fits addi takes one instruction; a label
+    // or a later .equ reserves the lui+addi pair, and pass 2 emits the pair.
+    st.expect_operands(2);
+    const std::optional<int64_t> v = constant(st.operands[1]);
+    return v && fits_addi(*v) ? 4 : 8;
   }
 
-  void attach_labels() {
-    for (auto& p : pending_labels_) labels_for_stmt_[stmts_.size()].push_back(p);
-    pending_labels_.clear();
-  }
+  void instruction(const Statement& st) override {
+    const auto is = [&](std::string_view name) { return iequals(st.head, name); };
+    const auto reg = [&](std::size_t i) { return parse_rv32_register(st.operands[i]); };
+    const auto target = [&](std::size_t i) { return bits32(offset(st, st.operands[i])); };
+    const auto memory = [&](std::size_t i) {
+      const auto [imm, base] = memory_operand(st.operands[i]);
+      return std::pair{bits32(imm), parse_rv32_register(base)};
+    };
 
-  /// Bytes the statement occupies.
-  int64_t size_of(const Stmt& st) {
-    if (st.head.empty() || st.head == ".end_labels") return 0;
-    if (st.head[0] == '.') {
-      if (st.head == ".word") return static_cast<int64_t>(st.operands.size()) * 4;
-      if (st.head == ".zero") {
-        ExprEval ev(st.operands.at(0), equs_, st.line);
-        return ev.evaluate() * 4;
-      }
-      return 0;
-    }
-    // Pseudo expansions.
-    if (st.head == "li") {
-      ExprEval ev(st.operands.at(1), equs_, st.line);
-      std::optional<int64_t> v;
-      try {
-        v = ev.evaluate();
-      } catch (const Rv32AsmError&) {
-        // Value depends on a label: reserve the worst case.
-        return 8;
-      }
-      return (*v >= -2048 && *v <= 2047) ? 4 : 8;
-    }
-    if (st.head == "la") return 8;
-    return 4;
-  }
-
-  void layout() {
-    int64_t text_addr = 0;
-    int64_t data_addr = 0;
-    Section section = Section::kText;
-    bool code_started = false;
-    for (std::size_t i = 0; i < stmts_.size(); ++i) {
-      Stmt& st = stmts_[i];
-      st.section = section;
-      int64_t& addr = section == Section::kText ? text_addr : data_addr;
-      if (st.head == ".text") {
-        section = Section::kText;
-        continue;
-      }
-      if (st.head == ".data") {
-        section = Section::kData;
-        continue;
-      }
-      if (st.head == ".org") {
-        ExprEval ev(st.operands.at(0), equs_, st.line);
-        if (section == Section::kText) {
-          if (code_started) throw Rv32AsmError(st.line, ".org after code is not supported");
-          text_addr = ev.evaluate();
-          program_.entry = static_cast<uint32_t>(text_addr);
-        } else {
-          data_addr = ev.evaluate();
-        }
-        continue;
-      }
-      if (st.head == ".equ") {
-        if (st.operands.size() != 2) throw Rv32AsmError(st.line, ".equ takes NAME, value");
-        std::string name(trim(st.operands[0]));
-        ExprEval ev(st.operands[1], equs_, st.line);
-        define_symbol(st.line, name, ev.evaluate(), true);
-        continue;
-      }
-      auto it = labels_for_stmt_.find(i);
-      if (it != labels_for_stmt_.end()) {
-        for (auto& [line, name] : it->second) define_symbol(line, name, addr, false);
-      }
-      st.address = addr;
-      const int64_t bytes = size_of(st);
-      if (section == Section::kText && bytes > 0) code_started = true;
-      addr += bytes;
-    }
-  }
-
-  void define_symbol(int line, const std::string& name, int64_t value, bool is_equ) {
-    if (program_.symbols.contains(name)) throw Rv32AsmError(line, "duplicate symbol '" + name + "'");
-    program_.symbols[name] = value;
-    if (is_equ) equs_[name] = value;
-  }
-
-  int64_t eval(const std::string& text, int line) {
-    ExprEval ev(text, program_.symbols, line);
-    return ev.evaluate();
-  }
-
-  int64_t target_offset(const std::string& tok, int64_t pc, int line) {
-    if (is_bare_identifier(tok)) {
-      auto it = program_.symbols.find(std::string(trim(tok)));
-      if (it == program_.symbols.end()) throw Rv32AsmError(line, "undefined label '" + tok + "'");
-      return it->second - pc;
-    }
-    return eval(tok, line);
-  }
-
-  void push(const Stmt& st, Rv32Instruction inst) {
-    try {
-      program_.image.push_back(encode(inst));
-    } catch (const std::exception& e) {
-      throw Rv32AsmError(st.line, e.what());
-    }
-    program_.code.push_back(inst);
-  }
-
-  void require(const Stmt& st, std::size_t n) {
-    if (st.operands.size() != n) {
-      std::ostringstream os;
-      os << st.head << " expects " << n << " operands, got " << st.operands.size();
-      throw Rv32AsmError(st.line, os.str());
-    }
-  }
-
-  int reg(const Stmt& st, std::size_t i) {
-    try {
-      return parse_rv32_register(st.operands.at(i));
-    } catch (const std::invalid_argument& e) {
-      throw Rv32AsmError(st.line, e.what());
-    }
-  }
-
-  /// Parses `imm(reg)`; returns {imm, reg}.
-  std::pair<int32_t, int> mem_operand(const Stmt& st, std::size_t i) {
-    std::string_view tok = st.operands.at(i);
-    std::size_t open = tok.find('(');
-    std::size_t close = tok.rfind(')');
-    if (open == std::string_view::npos || close == std::string_view::npos || close < open) {
-      throw Rv32AsmError(st.line, "expected imm(reg) operand");
-    }
-    const auto imm_view = trim(tok.substr(0, open));
-    const std::string imm_text(imm_view.empty() ? std::string_view("0") : imm_view);
-    const auto imm = static_cast<int32_t>(eval(imm_text, st.line));
-    int base = 0;
-    try {
-      base = parse_rv32_register(trim(tok.substr(open + 1, close - open - 1)));
-    } catch (const std::invalid_argument& e) {
-      throw Rv32AsmError(st.line, e.what());
-    }
-    return {imm, base};
-  }
-
-  void emit() {
-    for (const Stmt& st : stmts_) {
-      if (st.head.empty() || st.head == ".end_labels") continue;
-      if (st.head[0] == '.') {
-        emit_directive(st);
-        continue;
-      }
-      if (st.section == Section::kData) throw Rv32AsmError(st.line, "instruction in .data");
-      emit_instruction(st);
-    }
-  }
-
-  void emit_directive(const Stmt& st) {
-    if (st.head == ".word") {
-      if (st.section != Section::kData) throw Rv32AsmError(st.line, ".word requires .data");
-      auto addr = static_cast<uint32_t>(st.address);
-      for (const std::string& opnd : st.operands) {
-        const int64_t v = eval(opnd, st.line);
-        program_.data.push_back(Rv32DataWord{addr, static_cast<uint32_t>(v)});
-        addr += 4;
-      }
-      return;
-    }
-    if (st.head == ".zero") {
-      if (st.section != Section::kData) throw Rv32AsmError(st.line, ".zero requires .data");
-      const int64_t n = eval(st.operands.at(0), st.line);
-      for (int64_t k = 0; k < n; ++k) {
-        program_.data.push_back(Rv32DataWord{static_cast<uint32_t>(st.address + k * 4), 0});
-      }
-      return;
-    }
-    if (st.head == ".text" || st.head == ".data" || st.head == ".org" || st.head == ".equ") return;
-    throw Rv32AsmError(st.line, "unknown directive '" + st.head + "'");
-  }
-
-  /// Emits the lui+addi pair materialising an arbitrary 32-bit value.
-  void emit_lui_addi(const Stmt& st, int rd, int64_t value) {
-    const auto v = static_cast<int32_t>(value);
-    int32_t lo = v & 0xfff;
-    if (lo >= 2048) lo -= 4096;
-    const int32_t hi = (v - lo) >> 12;  // signed; encode() masks the bits
-    push(st, {Rv32Op::kLui, rd, 0, 0, hi});
-    push(st, {Rv32Op::kAddi, rd, rd, 0, lo});
-  }
-
-  void emit_instruction(const Stmt& st) {
-    const std::string& h = st.head;
     // --- pseudo-instructions ---
-    if (h == "nop") {
-      push(st, Rv32Instruction::nop());
-      return;
+    if (is("nop")) return push(Rv32Instruction::nop());
+    if (is("halt")) return push({Rv32Op::kEbreak, 0, 0, 0, 0});
+    if (is("ret")) return push({Rv32Op::kJalr, 0, 1, 0, 0});
+    if (is("mv")) {
+      st.expect_operands(2);
+      return push({Rv32Op::kAddi, reg(0), reg(1), 0, 0});
     }
-    if (h == "halt" || h == "ebreak") {
-      push(st, {Rv32Op::kEbreak, 0, 0, 0, 0});
-      return;
+    if (is("li") || is("la")) {
+      st.expect_operands(2);
+      const int rd = reg(0);
+      const int64_t v = value(st.operands[1]);
+      if (st.size == 4) return push({Rv32Op::kAddi, rd, 0, 0, static_cast<int32_t>(v)});
+      return push_lui_addi(rd, v);
     }
-    if (h == "mv") {
-      require(st, 2);
-      push(st, {Rv32Op::kAddi, reg(st, 0), reg(st, 1), 0, 0});
-      return;
+    if (is("j") || is("call")) {
+      st.expect_operands(1);
+      return push({Rv32Op::kJal, is("call") ? 1 : 0, 0, 0, target(0)});
     }
-    if (h == "li") {
-      require(st, 2);
-      const int rd = reg(st, 0);
-      const int64_t v = eval(st.operands[1], st.line);
-      // Pass 1 sized the short form only for equs-only constants; for
-      // label-dependent values it reserved 8 bytes, so emit the long form
-      // unconditionally there to keep layout consistent.
-      bool constant = true;
-      try {
-        ExprEval ev(st.operands[1], equs_, st.line);
-        (void)ev.evaluate();
-      } catch (const Rv32AsmError&) {
-        constant = false;
-      }
-      if (constant && v >= -2048 && v <= 2047) {
-        push(st, {Rv32Op::kAddi, rd, 0, 0, static_cast<int32_t>(v)});
-      } else {
-        emit_lui_addi(st, rd, v);
-      }
-      return;
+    if (is("jr")) {
+      st.expect_operands(1);
+      return push({Rv32Op::kJalr, 0, reg(0), 0, 0});
     }
-    if (h == "la") {
-      require(st, 2);
-      emit_lui_addi(st, reg(st, 0), eval(st.operands[1], st.line));
-      return;
-    }
-    if (h == "j") {
-      require(st, 1);
-      push(st, {Rv32Op::kJal, 0, 0, 0,
-                static_cast<int32_t>(target_offset(st.operands[0], st.address, st.line))});
-      return;
-    }
-    if (h == "jr") {
-      require(st, 1);
-      push(st, {Rv32Op::kJalr, 0, reg(st, 0), 0, 0});
-      return;
-    }
-    if (h == "ret") {
-      push(st, {Rv32Op::kJalr, 0, 1, 0, 0});
-      return;
-    }
-    if (h == "call") {
-      require(st, 1);
-      push(st, {Rv32Op::kJal, 1, 0, 0,
-                static_cast<int32_t>(target_offset(st.operands[0], st.address, st.line))});
-      return;
-    }
-    if (h == "beqz" || h == "bnez" || h == "bltz" || h == "bgez" || h == "bgtz" || h == "blez") {
-      require(st, 2);
-      const int rs = reg(st, 0);
-      const auto off = static_cast<int32_t>(target_offset(st.operands[1], st.address, st.line));
-      if (h == "beqz") push(st, {Rv32Op::kBeq, 0, rs, 0, off});
-      else if (h == "bnez") push(st, {Rv32Op::kBne, 0, rs, 0, off});
-      else if (h == "bltz") push(st, {Rv32Op::kBlt, 0, rs, 0, off});
-      else if (h == "bgez") push(st, {Rv32Op::kBge, 0, rs, 0, off});
-      else if (h == "bgtz") push(st, {Rv32Op::kBlt, 0, 0, rs, off});   // 0 < rs
-      else push(st, {Rv32Op::kBge, 0, 0, rs, off});                     // 0 >= rs
-      return;
-    }
-    if (h == "ble" || h == "bgt" || h == "bleu" || h == "bgtu") {
-      require(st, 3);
-      const int a = reg(st, 0);
-      const int b = reg(st, 1);
-      const auto off = static_cast<int32_t>(target_offset(st.operands[2], st.address, st.line));
-      if (h == "ble") push(st, {Rv32Op::kBge, 0, b, a, off});
-      else if (h == "bgt") push(st, {Rv32Op::kBlt, 0, b, a, off});
-      else if (h == "bleu") push(st, {Rv32Op::kBgeu, 0, b, a, off});
-      else push(st, {Rv32Op::kBltu, 0, b, a, off});
-      return;
+    for (const BranchAlias& alias : kBranchAliases) {
+      if (!is(alias.name)) continue;
+      st.expect_operands(alias.registers + 1);
+      const int a = reg(0);
+      const int b = alias.registers == 2 ? reg(1) : 0;
+      const int32_t off = target(alias.registers);
+      return push({alias.op, 0, alias.swap ? b : a, alias.swap ? a : b, off});
     }
 
     // --- real instructions ---
-    Rv32Op op;
-    try {
-      op = rv32_op_from_mnemonic(h);
-    } catch (const std::invalid_argument& e) {
-      throw Rv32AsmError(st.line, e.what());
-    }
-    const Rv32Spec& s = spec(op);
     Rv32Instruction inst;
-    inst.op = op;
+    inst.op = rv32_op_from_mnemonic(st.head);
+    const Rv32Spec& s = spec(inst.op);
     switch (s.format) {
       case Rv32Format::kR:
-        require(st, 3);
-        inst.rd = reg(st, 0);
-        inst.rs1 = reg(st, 1);
-        inst.rs2 = reg(st, 2);
+        st.expect_operands(3);
+        inst.rd = reg(0);
+        inst.rs1 = reg(1);
+        inst.rs2 = reg(2);
         break;
       case Rv32Format::kI:
-        if (s.klass == Rv32Class::kLoad || op == Rv32Op::kJalr) {
-          if (st.operands.size() == 2) {
-            inst.rd = reg(st, 0);
-            auto [imm, base] = mem_operand(st, 1);
-            inst.imm = imm;
-            inst.rs1 = base;
-          } else {
-            require(st, 3);
-            inst.rd = reg(st, 0);
-            inst.rs1 = reg(st, 1);
-            inst.imm = static_cast<int32_t>(eval(st.operands[2], st.line));
-          }
-        } else {
-          require(st, 3);
-          inst.rd = reg(st, 0);
-          inst.rs1 = reg(st, 1);
-          inst.imm = static_cast<int32_t>(eval(st.operands[2], st.line));
-        }
-        break;
       case Rv32Format::kIShift:
-        require(st, 3);
-        inst.rd = reg(st, 0);
-        inst.rs1 = reg(st, 1);
-        inst.imm = static_cast<int32_t>(eval(st.operands[2], st.line));
+        if (st.operands.size() == 2 && (s.klass == Rv32Class::kLoad || inst.op == Rv32Op::kJalr)) {
+          inst.rd = reg(0);  // rd, imm(rs1)
+          std::tie(inst.imm, inst.rs1) = memory(1);
+          break;
+        }
+        st.expect_operands(3);
+        inst.rd = reg(0);
+        inst.rs1 = reg(1);
+        inst.imm = bits32(value(st.operands[2]));
         break;
-      case Rv32Format::kS: {
-        require(st, 2);
-        inst.rs2 = reg(st, 0);
-        auto [imm, base] = mem_operand(st, 1);
-        inst.imm = imm;
-        inst.rs1 = base;
+      case Rv32Format::kS:
+        st.expect_operands(2);
+        inst.rs2 = reg(0);
+        std::tie(inst.imm, inst.rs1) = memory(1);
         break;
-      }
       case Rv32Format::kB:
-        require(st, 3);
-        inst.rs1 = reg(st, 0);
-        inst.rs2 = reg(st, 1);
-        inst.imm = static_cast<int32_t>(target_offset(st.operands[2], st.address, st.line));
+        st.expect_operands(3);
+        inst.rs1 = reg(0);
+        inst.rs2 = reg(1);
+        inst.imm = target(2);
         break;
       case Rv32Format::kU:
-        require(st, 2);
-        inst.rd = reg(st, 0);
-        inst.imm = static_cast<int32_t>(eval(st.operands[1], st.line));
+        st.expect_operands(2);
+        inst.rd = reg(0);
+        inst.imm = bits32(value(st.operands[1]));
         break;
       case Rv32Format::kJ:
-        require(st, 2);
-        inst.rd = reg(st, 0);
-        inst.imm = static_cast<int32_t>(target_offset(st.operands[1], st.address, st.line));
+        st.expect_operands(2);
+        inst.rd = reg(0);
+        inst.imm = target(1);
         break;
       case Rv32Format::kSystem:
         break;
     }
-    push(st, inst);
+    push(inst);
+  }
+
+  void data_word(int64_t address, int64_t word) override {
+    if (address < 0 || address > std::numeric_limits<uint32_t>::max()) {
+      throw std::out_of_range("data address " + std::to_string(address) +
+                              " outside the 32-bit address space");
+    }
+    program_.data.push_back(
+        Rv32DataWord{static_cast<uint32_t>(address), static_cast<uint32_t>(bits32(word))});
+  }
+
+  void push(const Rv32Instruction& inst) {
+    program_.image.push_back(encode(inst));
+    program_.code.push_back(inst);
+  }
+
+  /// The lui+addi pair materialising any 32-bit value (modulo 2^32).
+  void push_lui_addi(int rd, int64_t wide) {
+    const int32_t v = bits32(wide);
+    int32_t lo = v & 0xfff;
+    if (lo >= 2048) lo -= 4096;
+    const auto hi =
+        static_cast<int32_t>(static_cast<uint32_t>(v) - static_cast<uint32_t>(lo)) >> 12;
+    push({Rv32Op::kLui, rd, 0, 0, hi});
+    push({Rv32Op::kAddi, rd, rd, 0, lo});
   }
 
   Rv32Program program_;
-  std::vector<Stmt> stmts_;
-  std::map<std::string, int64_t> equs_;
-  std::vector<std::pair<int, std::string>> pending_labels_;
-  std::map<std::size_t, std::vector<std::pair<int, std::string>>> labels_for_stmt_;
 };
 
 }  // namespace
 
-Rv32Program assemble_rv32(std::string_view source) {
-  Rv32Assembler assembler;
-  return assembler.run(source);
-}
+Rv32Program assemble_rv32(std::string_view source) { return Rv32Assembler().run(source); }
 
 }  // namespace art9::rv32

@@ -3,32 +3,24 @@
 // assembly produced by a stock compiler; this repository's benchmark
 // corpus is written in the same dialect).
 //
-// Syntax mirrors the ART-9 assembler: ';' / '#' comments, labels,
-// `.org/.equ/.text/.data/.word/.zero`, byte addressing, `imm(reg)` memory
-// operands.  Standard pseudo-instructions are expanded:
-//   nop, mv, li (addi / lui+addi pair), la, j, jr, ret,
-//   beqz/bnez/bltz/bgez/bgtz/blez, ble/bgt/bleu/bgtu (operand swap),
-//   call (jal ra), halt (ebreak — the run-to-completion convention).
+// Comments, labels, directives and expressions are the shared dialect of
+// asm/source.hpp, with byte addressing: a data word is 4 bytes, its value
+// and its address fit in 32 bits.  Registers are x0..x31 or their ABI
+// names.  Standard pseudo-instructions are expanded:
+//   nop, mv, li (addi, or lui+addi unless pass 1 saw a 12-bit constant),
+//   la, j, jr, ret, beqz/bnez/bltz/bgez/bgtz/blez, ble/bgt/bleu/bgtu
+//   (operand swap), call (jal ra), halt (ebreak — the run-to-completion
+//   convention).
 #pragma once
 
-#include <stdexcept>
-#include <string>
 #include <string_view>
 
+#include "asm/source.hpp"
 #include "rv32/rv32_program.hpp"
 
 namespace art9::rv32 {
 
-class Rv32AsmError : public std::runtime_error {
- public:
-  Rv32AsmError(int line, const std::string& message)
-      : std::runtime_error("line " + std::to_string(line) + ": " + message), line_(line) {}
-
-  [[nodiscard]] int line() const noexcept { return line_; }
-
- private:
-  int line_;
-};
+using Rv32AsmError = assembly::AsmError;
 
 [[nodiscard]] Rv32Program assemble_rv32(std::string_view source);
 

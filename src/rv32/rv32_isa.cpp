@@ -1,5 +1,6 @@
 #include "rv32/rv32_isa.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <ostream>
 #include <sstream>
@@ -314,7 +315,9 @@ std::string_view abi_name(int reg) {
 int parse_rv32_register(std::string_view token) {
   std::string t(token);
   for (char& c : t) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  if (t.size() >= 2 && t[0] == 'x') {
+  // "x" and one or two digits; x32..x99 are out of range.
+  if ((t.size() == 2 || t.size() == 3) && t[0] == 'x' &&
+      std::all_of(t.begin() + 1, t.end(), [](char c) { return c >= '0' && c <= '9'; })) {
     const int n = std::stoi(t.substr(1));
     check_reg(n, t.c_str());
     return n;

@@ -124,7 +124,8 @@ std::ostream& operator<<(std::ostream& os, const Rv32Instruction& inst);
 /// ABI register name (x0 -> "zero", x2 -> "sp", ...).
 [[nodiscard]] std::string_view abi_name(int reg);
 
-/// Parses "x7", "t0", "sp", ... ; throws std::invalid_argument.
+/// Parses "x7", "t0", "sp", ... ; throws std::invalid_argument for a
+/// name that is none of these and std::out_of_range for x32..x99.
 [[nodiscard]] int parse_rv32_register(std::string_view token);
 
 }  // namespace art9::rv32

@@ -1,12 +1,4 @@
-// Minimal JSON writer + reader shared by the bench trajectory files and
-// the art9-serve HTTP front end.
-//
-// The writer (JsonObject) started life in bench/report.hpp; it moved
-// here unchanged so the serve layer does not grow a second hand-rolled
-// emitter.  bench/report.hpp aliases it back into art9::bench, and the
-// multi-line write(path) format is locked byte-for-byte by
-// tests/serve/json_test.cpp so the bench JSON trajectory stays stable
-// across the move.
+// Minimal JSON writer + reader for the art9-serve HTTP front end.
 //
 // The reader (JsonValue / parse_json) is the strict subset the serve
 // request bodies need: objects, arrays, strings (standard escapes,
@@ -25,9 +17,8 @@
 
 namespace art9::json {
 
-/// Minimal flat JSON object writer — enough for the bench trajectory files
-/// (string and finite-double fields, insertion order preserved) and the
-/// serve responses (which add integer and pre-serialized nested fields).
+/// Minimal flat JSON object writer: string, finite-double, integer and
+/// pre-serialized nested fields, insertion order preserved.
 class JsonObject {
  public:
   void add(const std::string& key, double value) {
@@ -84,8 +75,8 @@ class JsonObject {
     return out;
   }
 
-  /// Writes `{ "k": v, ... }` to `path`; returns false on I/O failure.
-  /// (Multi-line — the historical bench trajectory format, unchanged.)
+  /// Writes `{ "k": v, ... }` to `path`, one field per line; returns
+  /// false on I/O failure.
   [[nodiscard]] bool write(const std::string& path) const {
     std::FILE* f = std::fopen(path.c_str(), "w");
     if (f == nullptr) return false;

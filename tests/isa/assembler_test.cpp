@@ -180,6 +180,13 @@ TEST(AssemblerErrors, Diagnostics) {
   EXPECT_THROW(assemble("NOP\n.org 10\nNOP\n"), AsmError);    // .org after code
   EXPECT_THROW(assemble("LIMM T1, 10000\n"), AsmError);       // out of word range
   EXPECT_THROW(assemble("ADDI T1, UNDEF\n"), AsmError);       // undefined symbol
+  EXPECT_THROW(assemble("ADDI T1, 4294967301\n"), AsmError);  // wider than 32 bits
+  EXPECT_THROW(assemble("BEQ T1, 0, 4294967297\n"), AsmError);
+  EXPECT_THROW(assemble("LOAD T1, 4294967297(T2)\n"), AsmError);
+  EXPECT_THROW(assemble("LOAD\n"), AsmError);                  // no operands
+  EXPECT_THROW(assemble("STORE\n"), AsmError);
+  EXPECT_THROW(assemble(".data\n.zero 20000\n"), AsmError);   // past the TDM
+  EXPECT_THROW(assemble(".data\n.org 9841\n.word 1, 2\n"), AsmError);
 }
 
 TEST(AssemblerErrors, LineNumbers) {

@@ -103,6 +103,9 @@ TEST(Rv32Isa, RegisterNames) {
   EXPECT_EQ(parse_rv32_register("s0"), 8);
   EXPECT_THROW((void)parse_rv32_register("q1"), std::invalid_argument);
   EXPECT_THROW((void)parse_rv32_register("x32"), std::out_of_range);
+  EXPECT_THROW((void)parse_rv32_register("x1a"), std::invalid_argument);
+  EXPECT_THROW((void)parse_rv32_register("x2z"), std::invalid_argument);
+  EXPECT_THROW((void)parse_rv32_register("x99999999999"), std::invalid_argument);
 }
 
 TEST(Rv32Isa, MnemonicLookup) {

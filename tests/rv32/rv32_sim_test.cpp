@@ -269,6 +269,34 @@ TEST(Rv32AsmErrors, Diagnostics) {
   EXPECT_THROW(assemble_rv32("beq a0, a1, nowhere\n"), Rv32AsmError);
   EXPECT_THROW(assemble_rv32("lw a0, 0(q9)\n"), Rv32AsmError);
   EXPECT_THROW(assemble_rv32(".data\nadd a0, a0, a0\n"), Rv32AsmError);
+  // Immediates and offsets wider than 32 bits.
+  EXPECT_THROW(assemble_rv32("addi a0, a0, 4294967301\n"), Rv32AsmError);
+  EXPECT_THROW(assemble_rv32("beq a0, a1, 4294967304\n"), Rv32AsmError);
+  EXPECT_THROW(assemble_rv32("lw a0, 4294967300(a1)\n"), Rv32AsmError);
+  EXPECT_THROW(assemble_rv32("li a0, 4294967296\n"), Rv32AsmError);
+  EXPECT_THROW(assemble_rv32("li a0, 99999999999999999999\n"), Rv32AsmError);
+  // Missing operands.
+  EXPECT_THROW(assemble_rv32("li a0\n"), Rv32AsmError);
+  EXPECT_THROW(assemble_rv32(".org\n"), Rv32AsmError);
+  // Data words and their addresses fit in 32 bits.
+  EXPECT_THROW(assemble_rv32(".data\n.word 0x1ffffffff\n"), Rv32AsmError);
+  EXPECT_THROW(assemble_rv32(".data\n.org 0x100000004\n.word 1\n"), Rv32AsmError);
+  EXPECT_THROW(assemble_rv32(".data\n.org 0xfffffffc\n.zero 2\n"), Rv32AsmError);
+  EXPECT_THROW(assemble_rv32(".data\n.org -8\n.word 1\n"), Rv32AsmError);
+  // Register names: x and one or two digits, x0..x31.
+  EXPECT_THROW(assemble_rv32("addi x1a, x0, 1\n"), Rv32AsmError);
+  EXPECT_THROW(assemble_rv32("addi a0, x2z, 1\n"), Rv32AsmError);
+  EXPECT_THROW(assemble_rv32("addi x32, x0, 1\n"), Rv32AsmError);
+  EXPECT_THROW(assemble_rv32("addi a0, x99999999999, 1\n"), Rv32AsmError);
+  EXPECT_THROW(assemble_rv32("lw a0, 0(x40)\n"), Rv32AsmError);
+
+  // A `li` of a constant defined below it keeps the lui+addi pair pass 1
+  // reserved, so the label after it names the ebreak.
+  const Rv32Program p = assemble_rv32("li a0, K\nj end\nnop\n.equ K, 5\nend: ebreak\n");
+  ASSERT_EQ(p.code.size(), 5u);
+  EXPECT_EQ(p.symbol("end"), 16);
+  EXPECT_EQ(p.code[4].op, Rv32Op::kEbreak);
+  EXPECT_EQ(p.code[2].imm, 8);  // j end, from byte 8
 }
 
 }  // namespace

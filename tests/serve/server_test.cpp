@@ -134,6 +134,30 @@ TEST(SimulationServerRoutes, ProtocolErrorsAreStructured) {
   EXPECT_EQ(server.handle(make_request("DELETE", "/v1/jobs/999")).status, 404);
 }
 
+TEST(SimulationServerRoutes, AssemblerDiagnosticsNameTheirLine) {
+  SimulationServer server;
+  const auto expect_bad_source = [&](const std::string& target, const std::string& source,
+                                     const std::string& prefix) {
+    const HttpResponse response = server.handle(make_request("POST", target, source));
+    EXPECT_EQ(response.status, 400) << source;
+    const json::JsonValue body = body_of(response);
+    EXPECT_EQ(body.get_string("error", ""), "bad_source") << source;
+    EXPECT_EQ(body.get_string("message", "").rfind(prefix, 0), 0u) << body.get_string("message", "");
+  };
+  expect_bad_source("/v1/images?format=rv32", ".data\n.zero\n", "line 2:");
+  expect_bad_source("/v1/images?format=art9", "LOAD\n", "line 1:");
+  // Nesting that would run the evaluator off the end of its stack.
+  expect_bad_source("/v1/images?format=rv32",
+                    "nop\nli a0, " + std::string(100000, '(') + "1" + std::string(100000, ')'),
+                    "line 2:");
+
+  // A label directly before a directive binds to the address it precedes.
+  EXPECT_EQ(server.handle(make_request("POST", "/v1/images?format=rv32",
+                                       "j end\nend:\n.data\n.word 1\n"))
+                .status,
+            201);
+}
+
 TEST(SimulationServerRoutes, AdmissionRejectsAreStructuredAndCounted) {
   SimulationServer::Options options;
   options.service_threads = 1;
