@@ -316,9 +316,17 @@ void TwoPassAssembler::pass2(const Statement& st) {
     instruction(st);
     return;
   }
-  const bool zero = st.kind == Statement::Kind::kZero;
-  for (int64_t at = 0, i = 0; at < st.size; at += data_word_size_, ++i) {
-    data_word(st.address + at, zero ? 0 : value(st.operands[static_cast<std::size_t>(i)]));
+  if (st.kind == Statement::Kind::kZero) {
+    // Data memory starts zeroed, so a reservation only needs its ends to
+    // be addressable (both ISAs' data ranges are intervals).
+    if (st.size > 0) {
+      data_address(st.address);
+      data_address(st.address + st.size - data_word_size_);
+    }
+    return;
+  }
+  for (std::size_t i = 0; i < st.operands.size(); ++i) {
+    data_word(st.address + static_cast<int64_t>(i) * data_word_size_, value(st.operands[i]));
   }
 }
 

@@ -10,7 +10,8 @@
 //                          before the first instruction, where it is the entry
 //   .equ NAME, <expr>      define a constant
 //   .word <expr>[, ...]    emit initialised data words (.data only)
-//   .zero <count>          emit <count> zero data words (.data only)
+//   .zero <count>          reserve <count> data words, which read zero
+//                          (data memory starts zeroed; .data only)
 //   MNEMONIC operands      an instruction of the ISA
 //
 // Directives, mnemonics and registers are case-insensitive.  Operands are
@@ -26,7 +27,8 @@
 //
 // Each ISA subclasses TwoPassAssembler and supplies only what differs: its
 // mnemonics, registers and pseudo-ops (instruction_size, instruction), the
-// range of its data words (data_word) and their size in address units.
+// range of its data addresses and words (data_address, data_word) and
+// their size in address units.
 // Every diagnostic, including what a hook throws, leaves as an AsmError
 // carrying the 1-based line.
 #pragma once
@@ -98,7 +100,11 @@ class TwoPassAssembler {
   virtual int64_t instruction_size(const Statement& st) = 0;
   /// Pass 2: emits instruction `st` in the `st.size` units pass 1 reserved.
   virtual void instruction(const Statement& st) = 0;
-  /// Pass 2: emits one .word or .zero data word, range-checking it.
+  /// Pass 2: throws unless a data word can live at `address`.  A .zero
+  /// reservation is checked at its first and last word and emits nothing.
+  virtual void data_address(int64_t address) = 0;
+  /// Pass 2: emits one .word data word, range-checking it and (through
+  /// data_address) its address.
   virtual void data_word(int64_t address, int64_t value) = 0;
 
   /// Evaluates `text` against every label and constant.

@@ -114,14 +114,18 @@ class Art9Assembler final : public assembly::TwoPassAssembler {
     push(inst);
   }
 
-  void data_word(int64_t address, int64_t word) override {
-    if (!in_word_range(word)) {
-      throw std::out_of_range(".word value out of 9-trit range: " + std::to_string(word));
-    }
+  void data_address(int64_t address) override {
     if (!in_word_range(address)) {
       throw std::out_of_range("data address " + std::to_string(address) +
                               " outside the TDM [-9841, 9841]");
     }
+  }
+
+  void data_word(int64_t address, int64_t word) override {
+    if (!in_word_range(word)) {
+      throw std::out_of_range(".word value out of 9-trit range: " + std::to_string(word));
+    }
+    data_address(address);
     program_.data.push_back(DataWord{address, Word9::from_int(word)});
   }
 

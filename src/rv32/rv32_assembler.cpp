@@ -144,11 +144,15 @@ class Rv32Assembler final : public assembly::TwoPassAssembler {
     push(inst);
   }
 
-  void data_word(int64_t address, int64_t word) override {
+  void data_address(int64_t address) override {
     if (address < 0 || address > std::numeric_limits<uint32_t>::max()) {
       throw std::out_of_range("data address " + std::to_string(address) +
                               " outside the 32-bit address space");
     }
+  }
+
+  void data_word(int64_t address, int64_t word) override {
+    data_address(address);
     program_.data.push_back(
         Rv32DataWord{static_cast<uint32_t>(address), static_cast<uint32_t>(bits32(word))});
   }

@@ -44,22 +44,17 @@ void Rv32Simulator::store_word(uint32_t address, uint32_t value) {
 }
 
 bool Rv32Simulator::step() {
-  const uint32_t row = row_;
-  const Rv32DecodedOp& op = rows_[row];
-  const uint32_t pc = pc_;
+  const Rv32DecodedOp& op = rows_[row_];
   uint32_t next_pc = op.next_pc;
   uint32_t next_row = op.next_row;
   bool taken = false;
 
   HostDatapath dp{regs_, ram_};
-  if (!detail::execute_rv32(dp, *image_, op, pc, next_pc, next_row, taken)) {
-    if (observer_) observer_(Rv32Retired{image_->instruction(row), pc, false});
-    return false;  // halt convention
-  }
-
+  const bool more = detail::execute_rv32(dp, *image_, op, pc_, next_pc, next_row, taken);
+  taken_ = taken;
+  if (!more) return false;  // halt convention
   pc_ = next_pc;
   row_ = next_row;
-  if (observer_) observer_(Rv32Retired{image_->instruction(row), pc, taken});
   return true;
 }
 
@@ -73,14 +68,8 @@ void Rv32Simulator::step_until(Rv32RunStats& stats, uint64_t max_instructions) {
   }
 }
 
-Rv32RunStats Rv32Simulator::run(uint64_t max_instructions, const Observer& observer) {
-  const detail::ScopedObserver scope(observer_, observer);
+Rv32RunStats Rv32Simulator::run(uint64_t max_instructions) {
   Rv32RunStats stats;
-  if (observer_) {
-    // Instrumented loop: one observer call per retire, via step().
-    step_until(stats, max_instructions);
-    return stats;
-  }
   // Native hot loop: position lives in registers; pc_/row_ are committed
   // only at exit (including the trap path, so a fault leaves the
   // architectural pc on the faulting address exactly like step()).
@@ -142,7 +131,7 @@ void LazyRv32Simulator::store_word(uint32_t address, uint32_t value) {
   ram_store(ram_, address, value, 4, "store");
 }
 
-bool LazyRv32Simulator::step() {
+bool LazyRv32Simulator::step(const Observer& observer) {
   const Rv32Instruction inst = fetch();
   const uint32_t pc = pc_;
   uint32_t next_pc = pc_ + 4;
@@ -287,7 +276,7 @@ bool LazyRv32Simulator::step() {
       break;
     case Rv32Op::kEcall:
     case Rv32Op::kEbreak:
-      if (observer_) observer_(Rv32Retired{inst, pc, false});
+      if (observer) observer(Rv32Retired{inst, pc, false});
       return false;  // halt convention
     case Rv32Op::kMul:
       wr(rs1() * rs2());
@@ -329,15 +318,14 @@ bool LazyRv32Simulator::step() {
   }
 
   pc_ = next_pc;
-  if (observer_) observer_(Rv32Retired{inst, pc, taken});
+  if (observer) observer(Rv32Retired{inst, pc, taken});
   return true;
 }
 
 Rv32RunStats LazyRv32Simulator::run(uint64_t max_instructions, const Observer& observer) {
-  const detail::ScopedObserver scope(observer_, observer);
   Rv32RunStats stats;
   while (stats.instructions < max_instructions) {
-    if (!step()) {
+    if (!step(observer)) {
       stats.halted = true;
       break;
     }

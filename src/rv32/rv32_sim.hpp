@@ -1,8 +1,11 @@
-// Functional RV32I(+M) simulators with a retired-instruction observer hook.
+// Functional RV32I(+M) simulators.
 //
-// The observer stream feeds the instruction-level timing models of
-// PicoRV32 and VexRiscv (src/rv32/cycle_models.*), which is how Tables II
-// and III obtain baseline cycle counts without the cores' RTL.
+// Their retired-instruction stream feeds the instruction-level timing
+// models of PicoRV32 and VexRiscv (src/rv32/cycle_models.*), which is how
+// Tables II and III obtain baseline cycle counts without the cores' RTL.
+// The stream of the pre-decoded kinds is built by the sim::Engine facade
+// (sim/engine.hpp) from step(), pc() and taken(); the seed loop streams
+// its own, as the oracle the facade's stream is checked against.
 //
 // Two execution loops share the architecture (mirroring the ART-9 side):
 //
@@ -100,39 +103,11 @@ struct HostDatapath {
   }
 };
 
-/// Installs a scoped run() observer over `slot`, restoring whatever
-/// observer was previously installed (exception-safe) — so a temporary
-/// per-run observer never clobbers one set via set_observer().
-class ScopedObserver {
- public:
-  using Observer = std::function<void(const Rv32Retired&)>;
-
-  ScopedObserver(Observer& slot, const Observer& observer)
-      : slot_(slot), active_(static_cast<bool>(observer)) {
-    if (active_) {
-      saved_ = std::move(slot_);
-      slot_ = observer;
-    }
-  }
-  ~ScopedObserver() {
-    if (active_) slot_ = std::move(saved_);
-  }
-  ScopedObserver(const ScopedObserver&) = delete;
-  ScopedObserver& operator=(const ScopedObserver&) = delete;
-
- private:
-  Observer& slot_;
-  Observer saved_;
-  bool active_;
-};
-
 }  // namespace detail
 
 /// The reference RV32 simulator: executes off a pre-decoded image.
 class Rv32Simulator {
  public:
-  using Observer = std::function<void(const Rv32Retired&)>;
-
   explicit Rv32Simulator(const Rv32Program& program, std::size_t ram_bytes = 1u << 20);
 
   /// Runs off a shared pre-decoded image (SimulationService, differential
@@ -141,18 +116,18 @@ class Rv32Simulator {
                          std::size_t ram_bytes = 1u << 20);
 
   /// Executes one instruction; false when ECALL/EBREAK retires (halt
-  /// convention, mirroring the ART-9 self-jump).  An installed observer
-  /// sees every retired instruction, the halting ECALL/EBREAK included.
+  /// convention, mirroring the ART-9 self-jump).
   bool step();
 
   /// Runs until halt or `max_instructions` (the halting ECALL/EBREAK is
   /// not counted, matching the ART-9 convention of the halt pseudo-op
-  /// never retiring).  A non-empty `observer` is installed for this run
-  /// only; otherwise any observer set via set_observer stays active.
-  Rv32RunStats run(uint64_t max_instructions = 100'000'000, const Observer& observer = {});
+  /// never retiring).
+  Rv32RunStats run(uint64_t max_instructions = 100'000'000);
 
-  /// Streams every retired instruction to `observer` (empty to remove).
-  void set_observer(Observer observer) { observer_ = std::move(observer); }
+  /// The branch outcome of the instruction the last step() executed: true
+  /// for a taken branch and for every JAL/JALR, even one whose target is
+  /// its own fall-through (the timing models charge the redirect).
+  [[nodiscard]] bool taken() const noexcept { return taken_; }
 
   [[nodiscard]] uint32_t reg(int index) const { return regs_.at(static_cast<std::size_t>(index)); }
   void set_reg(int index, uint32_t value) {
@@ -186,8 +161,8 @@ class Rv32Simulator {
   // State and the per-instruction loop are shared with the superblock
   // tier (rv32_superblock.hpp), which only adds its block loop.
 
-  /// Steps one instruction at a time (observer included) until halt or
-  /// `stats.instructions` reaches `max_instructions`.
+  /// Steps one instruction at a time until halt or `stats.instructions`
+  /// reaches `max_instructions`.
   void step_until(Rv32RunStats& stats, uint64_t max_instructions);
 
   std::shared_ptr<const Rv32DecodedImage> image_;
@@ -200,7 +175,7 @@ class Rv32Simulator {
   // Current fetch row, kept in lock-step with pc_ so sequential flow and
   // static control flow chase precomputed row links instead of dividing.
   uint32_t row_ = 0;
-  Observer observer_;
+  bool taken_ = false;  // see taken()
 
  private:
   [[nodiscard]] uint32_t ram_at(uint32_t address, uint32_t size) const;
@@ -211,11 +186,16 @@ class Rv32Simulator {
 /// dispatch fast path (tests, bench_micro_sim).
 class LazyRv32Simulator {
  public:
-  using Observer = Rv32Simulator::Observer;
+  using Observer = std::function<void(const Rv32Retired&)>;
 
   explicit LazyRv32Simulator(const Rv32Program& program, std::size_t ram_bytes = 1u << 20);
 
-  bool step();
+  /// Executes one instruction, as Rv32Simulator::step does, and passes it
+  /// to `observer` if one is given — the halting ECALL/EBREAK included,
+  /// since the timing models charge it.
+  bool step(const Observer& observer = {});
+  /// Steps until halt or `max_instructions`, passing every retired
+  /// instruction to `observer` if one is given.
   Rv32RunStats run(uint64_t max_instructions = 100'000'000, const Observer& observer = {});
 
   [[nodiscard]] uint32_t reg(int index) const { return regs_.at(static_cast<std::size_t>(index)); }
@@ -248,7 +228,6 @@ class LazyRv32Simulator {
   std::vector<uint8_t> ram_;
   std::array<uint32_t, 32> regs_{};
   uint32_t pc_ = 0;
-  Observer observer_;
 };
 
 }  // namespace art9::rv32

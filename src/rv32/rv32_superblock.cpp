@@ -159,11 +159,8 @@ const Rv32SuperblockPlan& Rv32DecodedImage::superblocks() const {
 // Rv32SuperblockSimulator.
 // ---------------------------------------------------------------------------
 
-Rv32RunStats Rv32SuperblockSimulator::run(uint64_t max_instructions, const Observer& observer) {
-  const detail::ScopedObserver scope(observer_, observer);
-  // An observed run steps every instruction, so the retire stream is
-  // bit-identical to the reference model's.
-  Rv32RunStats stats = observer_ ? Rv32RunStats{} : run_blocks(max_instructions);
+Rv32RunStats Rv32SuperblockSimulator::run(uint64_t max_instructions) {
+  Rv32RunStats stats = run_blocks(max_instructions);
   // Partial-block tail, stepped exactly (fused intermediate states
   // included) — what keeps tiny budgets bit-identical to the reference.
   step_until(stats, max_instructions);

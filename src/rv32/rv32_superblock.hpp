@@ -92,17 +92,16 @@ struct Rv32SuperblockPlan {
 /// The rv32 superblock execution backend: Rv32Simulator's state,
 /// constructors, accessors, restore and per-instruction step() (observed
 /// runs and partial-block tails), with the block-chained loop as its
-/// unobserved run().  Bit-identical to Rv32Simulator — locked by the
-/// conformance suite and tests/sim/superblock_test.cpp.
+/// run().  Bit-identical to Rv32Simulator — locked by the conformance
+/// suite and tests/sim/superblock_test.cpp.
 class Rv32SuperblockSimulator : public Rv32Simulator {
  public:
   using Rv32Simulator::Rv32Simulator;
 
   /// Runs until halt or `max_instructions` — exactly: block entry is
   /// clamped against the remaining budget, the tail is stepped per
-  /// instruction.  A non-empty `observer` routes the whole run through
-  /// the per-instruction path so the retire stream stays bit-identical.
-  Rv32RunStats run(uint64_t max_instructions = 100'000'000, const Observer& observer = {});
+  /// instruction.
+  Rv32RunStats run(uint64_t max_instructions = 100'000'000);
 
   /// The shared block translation (tests, introspection).
   [[nodiscard]] const Rv32SuperblockPlan& plan() const noexcept { return *plan_; }

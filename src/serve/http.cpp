@@ -11,6 +11,8 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "serve/json.hpp"
+
 namespace art9::serve {
 
 namespace {
@@ -361,14 +363,9 @@ void HttpServer::serve_connection(Connection& connection) {
       try {
         response = handler_(parser.request());
       } catch (const std::exception& e) {
-        std::string message(e.what());
-        std::string quoted;
-        for (char c : message) {
-          if (c == '"' || c == '\\') quoted += '\\';
-          quoted += c == '\n' ? ' ' : c;
-        }
         response = HttpResponse{500, "application/json",
-                                "{\"error\": \"internal\", \"message\": \"" + quoted + "\"}",
+                                "{\"error\": \"internal\", \"message\": " +
+                                    json::quote(e.what()) + "}",
                                 true};
       }
       const bool keep = parser.request().keep_alive && !response.close &&
@@ -384,8 +381,8 @@ void HttpServer::serve_connection(Connection& connection) {
     if (!open) break;
     if (parser.status() == ParseStatus::kError) {
       const HttpResponse response{parser.error_status(), "application/json",
-                                  "{\"error\": \"bad_request\", \"message\": \"" +
-                                      parser.error() + "\"}",
+                                  "{\"error\": \"bad_request\", \"message\": " +
+                                      json::quote(parser.error()) + "}",
                                   true};
       send_all(connection.fd, serialize_response(response));
       break;

@@ -17,6 +17,32 @@
 
 namespace art9::json {
 
+/// Quotes `value` as a JSON string: `"` and `\` are escaped, and every
+/// control character below 0x20 (which parse_json rejects raw) becomes
+/// \n, \r, \t or \u00XX.
+[[nodiscard]] inline std::string quote(std::string_view value) {
+  std::string quoted = "\"";
+  for (char c : value) {
+    switch (c) {
+      case '"': quoted += "\\\""; break;
+      case '\\': quoted += "\\\\"; break;
+      case '\n': quoted += "\\n"; break;
+      case '\r': quoted += "\\r"; break;
+      case '\t': quoted += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(c));
+          quoted += buf;
+        } else {
+          quoted += c;
+        }
+    }
+  }
+  quoted += '"';
+  return quoted;
+}
+
 /// Minimal flat JSON object writer: string, finite-double, integer and
 /// pre-serialized nested fields, insertion order preserved.
 class JsonObject {
@@ -28,13 +54,7 @@ class JsonObject {
   }
 
   void add(const std::string& key, const std::string& value) {
-    std::string quoted = "\"";
-    for (char c : value) {
-      if (c == '"' || c == '\\') quoted += '\\';
-      quoted += c;
-    }
-    quoted += '"';
-    fields_.emplace_back(key, quoted);
+    fields_.emplace_back(key, quote(value));
   }
 
   /// Exact unsigned field (doubles lose integers past 2^53 — step budgets
@@ -75,20 +95,6 @@ class JsonObject {
     return out;
   }
 
-  /// Writes `{ "k": v, ... }` to `path`, one field per line; returns
-  /// false on I/O failure.
-  [[nodiscard]] bool write(const std::string& path) const {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) return false;
-    std::fprintf(f, "{\n");
-    for (std::size_t i = 0; i < fields_.size(); ++i) {
-      std::fprintf(f, "  \"%s\": %s%s\n", fields_[i].first.c_str(), fields_[i].second.c_str(),
-                   i + 1 < fields_.size() ? "," : "");
-    }
-    std::fprintf(f, "}\n");
-    return std::fclose(f) == 0;
-  }
-
  private:
   std::vector<std::pair<std::string, std::string>> fields_;
 };
@@ -105,17 +111,6 @@ template <typename Range>
   }
   out += ']';
   return out;
-}
-
-/// Quotes `value` as a JSON string (the writer's escaping rules).
-[[nodiscard]] inline std::string quote(std::string_view value) {
-  std::string quoted = "\"";
-  for (char c : value) {
-    if (c == '"' || c == '\\') quoted += '\\';
-    quoted += c;
-  }
-  quoted += '"';
-  return quoted;
 }
 
 // --- reader ------------------------------------------------------------------

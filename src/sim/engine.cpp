@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 
 #include "rv32/rv32_superblock.hpp"
@@ -47,141 +48,86 @@ std::optional<EngineKind> parse_engine_kind(std::string_view name) noexcept {
 
 namespace {
 
-/// Shared skeleton of the instruction-at-a-time engines.  The native hot
-/// loops (pre-decoded switch, block-chained superblock dispatch, fleet
-/// cohorts, lazy fetch) run untouched unless an observer is installed;
-/// only then do step()/run() route through the instrumented
-/// per-instruction loop, so the unobserved steps/s of every backend is
-/// exactly the wrapped simulator's.
-class FunctionalEngineBase : public Engine {
+/// Every instruction-at-a-time kind of either ISA behind the Engine
+/// contract, over the five members each such simulator shares: step(),
+/// run(max), pc(), state() and restore().  The native hot loop (pre-decoded
+/// switch, block-chained superblock dispatch, fleet cohorts, lazy fetch)
+/// runs untouched unless an observer is installed; only then do step()
+/// and run_stats() route through observed_step(), so the unobserved
+/// steps/s of every backend is exactly the wrapped simulator's.  Kind is a
+/// template argument, so kPacked and kRv32Packed (the historical names
+/// art9-run, the serve API and the benchmarks still accept) are one more
+/// instantiation each over the superblock and rv32 simulators.
+template <class Sim, EngineKind Kind>
+class InstructionEngine final : public Engine {
+  static constexpr bool kRv32 = is_rv32(Kind);
+  using Image = std::conditional_t<kRv32, rv32::Rv32DecodedImage, DecodedImage>;
+
  public:
-  bool step() final {
-    if (!observer_) return do_step();
-    const int64_t pc = pc_now();
-    if (!do_step()) return false;
-    observer_(Retired{image_->fetch(pc).inst, pc, retired_++});
-    return true;
-  }
+  InstructionEngine(std::shared_ptr<const Image> image, const EngineOptions& options)
+      : image_(std::move(image)), sim_(make_sim(image_, options)) {}
 
-  SimStats run_stats(const RunOptions& options) final {
-    if (!observer_) return do_run(options.max_steps);
-    // Observed run: the same budget/halt contract, one observer call per
-    // retired instruction (the halt pseudo-op never retires).
-    SimStats stats;
-    while (stats.instructions < options.max_steps) {
-      if (!step()) {
-        stats.halt = HaltReason::kHalted;
-        stats.cycles = stats.instructions;
-        return stats;
-      }
-      ++stats.instructions;
+  [[nodiscard]] EngineKind kind() const noexcept override { return Kind; }
+
+  bool step() override { return observer_ ? observed_step() : sim_.step(); }
+
+  SimStats run_stats(const RunOptions& options) override {
+    if (observer_) return run_steps(*this, options.max_steps);
+    if constexpr (kRv32) {
+      const rv32::Rv32RunStats stats = sim_.run(options.max_steps);
+      return functional_stats(stats.instructions, stats.halted);
+    } else {
+      return sim_.run(options.max_steps);
     }
-    stats.halt = HaltReason::kMaxCycles;
-    stats.cycles = stats.instructions;
-    return stats;
   }
 
-  [[nodiscard]] MachineState state() const final { return MachineState{arch_snapshot()}; }
-  // art9() throws SimError on an rv32 snapshot — the ISA-mismatch contract.
-  void restore(const MachineState& snapshot) final { do_restore(snapshot.art9()); }
-  void set_observer(Observer observer) final {
+  [[nodiscard]] MachineState state() const override { return MachineState{sim_.state()}; }
+
+  // art9()/rv32() throw SimError on the other ISA's snapshot — the
+  // ISA-mismatch contract.
+  void restore(const MachineState& snapshot) override {
+    if constexpr (kRv32) {
+      sim_.restore(snapshot.rv32());
+    } else {
+      sim_.restore(snapshot.art9());
+    }
+  }
+
+  void set_observer(Observer observer) override {
     observer_ = std::move(observer);
     retired_ = 0;  // every installation numbers its stream from 0
   }
 
- protected:
-  explicit FunctionalEngineBase(std::shared_ptr<const DecodedImage> image)
-      : image_(std::move(image)) {}
-
-  virtual bool do_step() = 0;
-  virtual SimStats do_run(uint64_t max_instructions) = 0;
-  [[nodiscard]] virtual int64_t pc_now() const = 0;
-  [[nodiscard]] virtual ArchState arch_snapshot() const = 0;
-  virtual void do_restore(const ArchState& state) = 0;
-
-  std::shared_ptr<const DecodedImage> image_;
-
  private:
+  static Sim make_sim(const std::shared_ptr<const Image>& image, const EngineOptions& options) {
+    if constexpr (kRv32) {
+      return Sim(image, options.rv32_ram_bytes);
+    } else if constexpr (std::is_same_v<Sim, LazyFunctionalSimulator>) {
+      return Sim(image->program());  // decode-on-fetch is the point of this kind
+    } else {
+      return Sim(image);
+    }
+  }
+
+  /// One instruction with its retire event — the stream of every kind,
+  /// built here.  ART-9's halt pseudo-op never retires; rv32 streams the
+  /// halting ECALL/EBREAK, which the baseline cycle models charge, and
+  /// the simulator's own branch outcome.
+  bool observed_step() {
+    const auto pc = sim_.pc();
+    const bool more = sim_.step();
+    if constexpr (kRv32) {
+      observer_(Retired{image_->instruction(image_->row_of(pc)), pc, retired_++, sim_.taken()});
+    } else if (more) {
+      observer_(Retired{image_->fetch(pc).inst, pc, retired_++});
+    }
+    return more;
+  }
+
+  std::shared_ptr<const Image> image_;
+  Sim sim_;
   Observer observer_;
   uint64_t retired_ = 0;  // observer stream sequence number
-};
-
-class LazyEngine final : public FunctionalEngineBase {
- public:
-  explicit LazyEngine(std::shared_ptr<const DecodedImage> image)
-      : FunctionalEngineBase(std::move(image)), sim_(image_->program()) {}
-
-  [[nodiscard]] EngineKind kind() const noexcept override { return EngineKind::kLazy; }
-
- private:
-  bool do_step() override { return sim_.step(); }
-  SimStats do_run(uint64_t max_instructions) override { return sim_.run(max_instructions); }
-  [[nodiscard]] int64_t pc_now() const override { return sim_.state().pc; }
-  [[nodiscard]] ArchState arch_snapshot() const override { return sim_.state(); }
-  void do_restore(const ArchState& state) override { sim_.restore(state); }
-
-  LazyFunctionalSimulator sim_;
-};
-
-class FunctionalEngine final : public FunctionalEngineBase {
- public:
-  explicit FunctionalEngine(std::shared_ptr<const DecodedImage> image)
-      : FunctionalEngineBase(std::move(image)), sim_(image_) {}
-
-  [[nodiscard]] EngineKind kind() const noexcept override { return EngineKind::kFunctional; }
-
- private:
-  bool do_step() override { return sim_.step(); }
-  SimStats do_run(uint64_t max_instructions) override { return sim_.run(max_instructions); }
-  [[nodiscard]] int64_t pc_now() const override { return sim_.state().pc; }
-  [[nodiscard]] ArchState arch_snapshot() const override { return sim_.state(); }
-  void do_restore(const ArchState& state) override { sim_.restore(state); }
-
-  FunctionalSimulator sim_;
-};
-
-/// The single-machine packed datapath.  kSuperblock and kPacked (the
-/// historical name art9-run, the serve API and the benchmarks still
-/// accept) both build this engine; it reports whichever kind it was made
-/// as.
-class SuperblockEngine final : public FunctionalEngineBase {
- public:
-  SuperblockEngine(std::shared_ptr<const DecodedImage> image, EngineKind kind)
-      : FunctionalEngineBase(std::move(image)), kind_(kind), sim_(image_) {}
-
-  [[nodiscard]] EngineKind kind() const noexcept override { return kind_; }
-
- private:
-  bool do_step() override { return sim_.step(); }
-  SimStats do_run(uint64_t max_instructions) override { return sim_.run(max_instructions); }
-  [[nodiscard]] int64_t pc_now() const override { return sim_.pc(); }
-  [[nodiscard]] ArchState arch_snapshot() const override { return sim_.unpack_state(); }
-  void do_restore(const ArchState& state) override { sim_.restore(state); }
-
-  EngineKind kind_;
-  SuperblockSimulator sim_;
-};
-
-/// The bit-sliced fleet backend through the single-machine contract:
-/// lane 0 of a one-lane FleetSimulator.  The multi-lane surface
-/// (advance(), cohorts) is what SimulationService::submit_cohort rides;
-/// this facade is what keeps kFleet inside the conformance suite's
-/// bit-identity net.
-class FleetEngine final : public FunctionalEngineBase {
- public:
-  explicit FleetEngine(std::shared_ptr<const DecodedImage> image)
-      : FunctionalEngineBase(std::move(image)), sim_(image_, 1) {}
-
-  [[nodiscard]] EngineKind kind() const noexcept override { return EngineKind::kFleet; }
-
- private:
-  bool do_step() override { return sim_.step(); }
-  SimStats do_run(uint64_t max_instructions) override { return sim_.run(max_instructions); }
-  [[nodiscard]] int64_t pc_now() const override { return sim_.pc(); }
-  [[nodiscard]] ArchState arch_snapshot() const override { return sim_.unpack_lane(0); }
-  void do_restore(const ArchState& state) override { sim_.restore_lane(0, state); }
-
-  FleetSimulator sim_;
 };
 
 /// The cycle-accurate pipelines behind the same contract: step() is one
@@ -258,67 +204,25 @@ class PipelineEngine final : public Engine {
   Sim sim_;
 };
 
-/// The RV32 baseline backends behind the same contract.  Sim is
-/// rv32::Rv32Simulator (kRv32, and kRv32Packed under its historical name)
-/// or rv32::Rv32SuperblockSimulator (kRv32Superblock).  The wrapped
-/// simulators already carry the observer hook in their native loop
-/// (guarded by one branch per retire, exactly the zero-cost-when-unset
-/// contract), so the facade only adapts the event type and renumbers the
-/// stream from each installation.
-template <class Sim, EngineKind Kind>
-class Rv32Engine final : public Engine {
- public:
-  Rv32Engine(std::shared_ptr<const rv32::Rv32DecodedImage> image, const EngineOptions& options)
-      : sim_(std::move(image), options.rv32_ram_bytes) {}
-
-  [[nodiscard]] EngineKind kind() const noexcept override { return Kind; }
-
-  bool step() override { return sim_.step(); }
-
-  SimStats run_stats(const RunOptions& options) override {
-    const rv32::Rv32RunStats stats = sim_.run(options.max_steps);
-    SimStats out;
-    out.instructions = stats.instructions;
-    out.cycles = stats.instructions;  // == instructions on functional kinds
-    out.halt = stats.halted ? HaltReason::kHalted : HaltReason::kMaxCycles;
-    return out;
-  }
-
-  [[nodiscard]] MachineState state() const override { return MachineState{sim_.state()}; }
-  // rv32() throws SimError on an ART-9 snapshot — the ISA-mismatch contract.
-  void restore(const MachineState& snapshot) override { sim_.restore(snapshot.rv32()); }
-
-  void set_observer(Observer observer) override {
-    if (!observer) {
-      sim_.set_observer({});
-      return;
-    }
-    // Renumber from 0 at installation; the native stream keeps its own
-    // convention (the halting ECALL/EBREAK is observed, `taken` carries
-    // the branch outcome) — what the baseline cycle models consume.
-    sim_.set_observer([observer = std::move(observer),
-                       index = uint64_t{0}](const rv32::Rv32Retired& r) mutable {
-      observer(Retired{r.inst, static_cast<int64_t>(r.pc), index++, r.taken});
-    });
-  }
-
- private:
-  Sim sim_;
-};
-
 /// The per-ISA factories behind make_engine; `image` is non-null.
 std::unique_ptr<Engine> build(EngineKind kind, std::shared_ptr<const DecodedImage> image,
                               const EngineOptions& options) {
   switch (kind) {
     case EngineKind::kLazy:
-      return std::make_unique<LazyEngine>(std::move(image));
+      return std::make_unique<InstructionEngine<LazyFunctionalSimulator, EngineKind::kLazy>>(
+          std::move(image), options);
     case EngineKind::kFunctional:
-      return std::make_unique<FunctionalEngine>(std::move(image));
+      return std::make_unique<InstructionEngine<FunctionalSimulator, EngineKind::kFunctional>>(
+          std::move(image), options);
     case EngineKind::kPacked:
+      return std::make_unique<InstructionEngine<SuperblockSimulator, EngineKind::kPacked>>(
+          std::move(image), options);
     case EngineKind::kSuperblock:
-      return std::make_unique<SuperblockEngine>(std::move(image), kind);
+      return std::make_unique<InstructionEngine<SuperblockSimulator, EngineKind::kSuperblock>>(
+          std::move(image), options);
     case EngineKind::kFleet:
-      return std::make_unique<FleetEngine>(std::move(image));
+      return std::make_unique<InstructionEngine<FleetSimulator, EngineKind::kFleet>>(
+          std::move(image), options);
     case EngineKind::kPipeline:
       return std::make_unique<PipelineEngine<PipelineSimulator, EngineKind::kPipeline>>(
           std::move(image), options);
@@ -338,14 +242,14 @@ std::unique_ptr<Engine> build(EngineKind kind, std::shared_ptr<const rv32::Rv32D
                               const EngineOptions& options) {
   switch (kind) {
     case EngineKind::kRv32:
-      return std::make_unique<Rv32Engine<rv32::Rv32Simulator, EngineKind::kRv32>>(std::move(image),
-                                                                                  options);
+      return std::make_unique<InstructionEngine<rv32::Rv32Simulator, EngineKind::kRv32>>(
+          std::move(image), options);
     case EngineKind::kRv32Superblock:
       return std::make_unique<
-          Rv32Engine<rv32::Rv32SuperblockSimulator, EngineKind::kRv32Superblock>>(std::move(image),
-                                                                                  options);
+          InstructionEngine<rv32::Rv32SuperblockSimulator, EngineKind::kRv32Superblock>>(
+          std::move(image), options);
     case EngineKind::kRv32Packed:
-      return std::make_unique<Rv32Engine<rv32::Rv32Simulator, EngineKind::kRv32Packed>>(
+      return std::make_unique<InstructionEngine<rv32::Rv32Simulator, EngineKind::kRv32Packed>>(
           std::move(image), options);
     default:
       throw std::invalid_argument("make_engine: ART-9 kind needs a DecodedImage");

@@ -421,11 +421,7 @@ SimStats FleetSimulator::run(uint64_t max_instructions) {
   const std::vector<LaneProgress> progress = advance(budgets);
   const LaneProgress& p = progress[0];
   if (p.trapped) throw SimError(p.trap_message);  // state already committed
-  SimStats stats;
-  stats.instructions = p.instructions;
-  stats.cycles = p.instructions;
-  stats.halt = p.halted ? HaltReason::kHalted : HaltReason::kMaxCycles;
-  return stats;
+  return functional_stats(p.instructions, p.halted);
 }
 
 int64_t FleetSimulator::pc(unsigned lane) const {

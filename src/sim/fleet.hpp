@@ -87,6 +87,10 @@ class FleetSimulator {
   /// SuperblockSimulator::run.  Throws SimError if lane 0 traps.
   SimStats run(uint64_t max_instructions = 100'000'000);
 
+  /// Lane 0's state, and its snapshot restore.
+  [[nodiscard]] ArchState state() const { return unpack_lane(0); }
+  void restore(const ArchState& state) { restore_lane(0, state); }
+
   // --- per-lane inspection boundary ---------------------------------------
 
   [[nodiscard]] int64_t pc(unsigned lane = 0) const;

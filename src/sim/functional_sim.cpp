@@ -88,18 +88,7 @@ bool FunctionalSimulator::step() {
 }
 
 SimStats FunctionalSimulator::run(uint64_t max_instructions) {
-  SimStats stats;
-  while (stats.instructions < max_instructions) {
-    if (!step()) {
-      stats.halt = HaltReason::kHalted;
-      stats.cycles = stats.instructions;
-      return stats;
-    }
-    ++stats.instructions;
-  }
-  stats.halt = HaltReason::kMaxCycles;
-  stats.cycles = stats.instructions;
-  return stats;
+  return run_steps(*this, max_instructions);
 }
 
 // ---- seed lazy decode-on-fetch baseline ------------------------------------
@@ -174,18 +163,7 @@ bool LazyFunctionalSimulator::step() {
 }
 
 SimStats LazyFunctionalSimulator::run(uint64_t max_instructions) {
-  SimStats stats;
-  while (stats.instructions < max_instructions) {
-    if (!step()) {
-      stats.halt = HaltReason::kHalted;
-      stats.cycles = stats.instructions;
-      return stats;
-    }
-    ++stats.instructions;
-  }
-  stats.halt = HaltReason::kMaxCycles;
-  stats.cycles = stats.instructions;
-  return stats;
+  return run_steps(*this, max_instructions);
 }
 
 }  // namespace art9::sim

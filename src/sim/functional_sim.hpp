@@ -36,6 +36,7 @@ class FunctionalSimulator {
 
   [[nodiscard]] const ArchState& state() const noexcept { return state_; }
   [[nodiscard]] ArchState& state() noexcept { return state_; }
+  [[nodiscard]] int64_t pc() const noexcept { return state_.pc; }
 
   /// Replaces the architectural state wholesale (snapshot restore) and
   /// re-syncs the cached fetch row with the restored PC.
@@ -71,6 +72,7 @@ class LazyFunctionalSimulator {
 
   [[nodiscard]] const ArchState& state() const noexcept { return state_; }
   [[nodiscard]] ArchState& state() noexcept { return state_; }
+  [[nodiscard]] int64_t pc() const noexcept { return state_.pc; }
 
   /// Replaces the architectural state wholesale (snapshot restore).  The
   /// TIM is untouched: code comes from the program, never the snapshot

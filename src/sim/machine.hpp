@@ -77,6 +77,30 @@ struct SimStats {
   }
 };
 
+/// The stats of a functional run: cycles equal the retired instructions,
+/// and the run ended at the halt convention or at its budget.
+[[nodiscard]] inline SimStats functional_stats(uint64_t instructions, bool halted) noexcept {
+  SimStats stats;
+  stats.instructions = instructions;
+  stats.cycles = instructions;
+  stats.halt = halted ? HaltReason::kHalted : HaltReason::kMaxCycles;
+  return stats;
+}
+
+/// The run contract of every instruction-at-a-time ART-9 loop: calls
+/// `sim.step()` until the halt convention or until `max_instructions`
+/// have retired, counting on from `stats` (a block loop's partial-block
+/// tail continues its count).  The halt pseudo-op never retires.  A
+/// header template so each simulator's .cpp instantiates it over its own
+/// step(), which inlines.
+template <class Sim>
+SimStats run_steps(Sim& sim, uint64_t max_instructions, SimStats stats = {}) {
+  for (; stats.instructions < max_instructions; ++stats.instructions) {
+    if (!sim.step()) return functional_stats(stats.instructions, true);
+  }
+  return functional_stats(stats.instructions, false);
+}
+
 /// Field-wise accumulation of per-call run_stats deltas — the contract
 /// that slicing one run into chunks reports the same totals as one call.
 /// `halt` is NOT combined: it names a reason, not a count, so the caller

@@ -139,6 +139,18 @@ class PackedMemory {
     return out;
   }
 
+  /// The inverse (snapshot restore): pack(m).unpack() == m.
+  [[nodiscard]] static PackedMemory pack(const TernaryMemory& memory) {
+    PackedMemory out;
+    for (int64_t addr = -ternary::Word9::kMaxValue; addr <= ternary::Word9::kMaxValue; ++addr) {
+      const ternary::Word9& w = memory.peek(addr);
+      if (w == ternary::Word9{}) continue;  // zero rows match the default
+      out.poke(addr, ternary::BctWord9::encode(w));
+    }
+    out.set_counters(memory.reads(), memory.writes());
+    return out;
+  }
+
  private:
   std::vector<ternary::BctWord9> rows_;
   uint64_t reads_ = 0;

@@ -26,13 +26,7 @@ void PackedPipelineDatapath::load_state(const ArchState& s) {
   for (int i = 0; i < isa::kNumRegisters; ++i) {
     trf_[static_cast<std::size_t>(i)] = Word::encode(s.trf.read(i));
   }
-  tdm_ = PackedMemory{};
-  for (int64_t addr = -ternary::Word9::kMaxValue; addr <= ternary::Word9::kMaxValue; ++addr) {
-    const ternary::Word9& w = s.tdm.peek(addr);
-    if (w == ternary::Word9{}) continue;  // zero rows match the default
-    tdm_.poke(addr, ternary::BctWord9::encode(w));
-  }
-  tdm_.set_counters(s.tdm.reads(), s.tdm.writes());
+  tdm_ = PackedMemory::pack(s.tdm);
   pc_ = s.pc;
 }
 

@@ -493,9 +493,16 @@ std::shared_ptr<detail::JobState> SimulationService::make_state(Job job) {
   auto state = std::make_shared<detail::JobState>();
   state->job = std::move(job);
   state->counters = counters_;
-  if (state->job.control.deadline.count() > 0) {
-    state->has_deadline = true;
-    state->deadline_at = std::chrono::steady_clock::now() + state->job.control.deadline;
+  const std::chrono::milliseconds deadline = state->job.control.deadline;
+  if (deadline.count() > 0) {
+    // A deadline past what the clock can represent never arrives: it is
+    // no deadline (adding it would overflow into the past).
+    const auto now = std::chrono::steady_clock::now();
+    if (deadline < std::chrono::duration_cast<std::chrono::milliseconds>(
+                       std::chrono::steady_clock::time_point::max() - now)) {
+      state->has_deadline = true;
+      state->deadline_at = now + deadline;
+    }
   }
   return state;
 }

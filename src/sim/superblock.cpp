@@ -265,22 +265,12 @@ bool SuperblockSimulator::step() {
 
 SimStats SuperblockSimulator::run(uint64_t max_instructions) {
   bool halted = false;
-  uint64_t executed = run_blocks(max_instructions, halted);
+  const uint64_t executed = run_blocks(max_instructions, halted);
+  const SimStats blocks = functional_stats(executed, halted);
   // Partial-block tail: the fast loop only enters a block when the whole
   // block fits the remaining budget; what is left (at most one block's
   // worth of instructions) is stepped exactly.
-  while (!halted && executed < max_instructions) {
-    if (!step()) {
-      halted = true;
-      break;
-    }
-    ++executed;
-  }
-  SimStats stats;
-  stats.instructions = executed;
-  stats.cycles = executed;
-  stats.halt = halted ? HaltReason::kHalted : HaltReason::kMaxCycles;
-  return stats;
+  return halted ? blocks : run_steps(*this, max_instructions, blocks);
 }
 
 // Threaded dispatch (computed goto) is a GNU extension; other compilers
@@ -427,7 +417,7 @@ uint64_t SuperblockSimulator::run_blocks(uint64_t, bool&) { return 0; }
 
 #endif  // ART9_SB_THREADED_DISPATCH
 
-ArchState SuperblockSimulator::unpack_state() const {
+ArchState SuperblockSimulator::state() const {
   ArchState out;
   for (int i = 0; i < isa::kNumRegisters; ++i) {
     out.trf.write(i, trf_[static_cast<std::size_t>(i)].decode());
@@ -441,13 +431,7 @@ void SuperblockSimulator::restore(const ArchState& state) {
   for (int i = 0; i < isa::kNumRegisters; ++i) {
     trf_[static_cast<std::size_t>(i)] = BctWord9::encode(state.trf.read(i));
   }
-  tdm_ = PackedMemory{};
-  for (int64_t addr = -ternary::Word9::kMaxValue; addr <= ternary::Word9::kMaxValue; ++addr) {
-    const ternary::Word9& w = state.tdm.peek(addr);
-    if (w == ternary::Word9{}) continue;  // zero rows match the default
-    tdm_.poke(addr, BctWord9::encode(w));
-  }
-  tdm_.set_counters(state.tdm.reads(), state.tdm.writes());
+  tdm_ = PackedMemory::pack(state.tdm);
   row_ = static_cast<uint32_t>(DecodedImage::row_of(state.pc));
 }
 

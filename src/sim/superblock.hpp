@@ -188,9 +188,9 @@ class SuperblockSimulator {
 
   /// Inspection-boundary conversions: decode the packed state into the
   /// reference representation (registers, TDM contents + counters, PC),
-  /// and re-pack one (snapshot restore).  restore(unpack_state()) is an
-  /// exact round trip, access counters included.
-  [[nodiscard]] ArchState unpack_state() const;
+  /// and re-pack one (snapshot restore).  restore(state()) is an exact
+  /// round trip, access counters included.
+  [[nodiscard]] ArchState state() const;
   void restore(const ArchState& state);
 
   /// Convenience accessors (decode on access).

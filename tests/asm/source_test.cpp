@@ -89,18 +89,33 @@ TEST(AsmDialect, BothAssemblersReadOneGrammar) {
 }
 
 TEST(AsmDialect, DataWordsLandAtTheirAddresses) {
-  const isa::Program a = isa::assemble(".data\n.org 0x10\n.word 0x20, -1\n.zero 1\n");
-  ASSERT_EQ(a.data.size(), 3u);
+  // .zero reserves without emitting: data memory starts zeroed.
+  const isa::Program a = isa::assemble(".data\n.org 0x10\n.word 0x20, -1\n.zero 1\nz:\n");
+  ASSERT_EQ(a.data.size(), 2u);
   EXPECT_EQ(a.data[1].address, 17);
   EXPECT_EQ(a.data[1].value.to_int(), -1);
   EXPECT_EQ(a.data[0].value.to_int(), 32);
-  EXPECT_EQ(a.data[2].address, 18);
+  EXPECT_EQ(a.symbol("z"), 19);
 
-  const rv32::Rv32Program r = rv32::assemble_rv32(".data\n.org 0x10\n.word 0xffffffff, -1\n.zero 1\n");
-  ASSERT_EQ(r.data.size(), 3u);
+  const rv32::Rv32Program r =
+      rv32::assemble_rv32(".data\n.org 0x10\n.word 0xffffffff, -1\n.zero 1\nz:\n");
+  ASSERT_EQ(r.data.size(), 2u);
   EXPECT_EQ(r.data[0], (rv32::Rv32DataWord{16, 0xffffffffu}));
   EXPECT_EQ(r.data[1], (rv32::Rv32DataWord{20, 0xffffffffu}));
-  EXPECT_EQ(r.data[2], (rv32::Rv32DataWord{24, 0}));
+  EXPECT_EQ(r.symbol("z"), 28);
+}
+
+TEST(AsmDialect, ZeroReservesWithoutMaterialisingWords) {
+  // Regression: pass 2 emitted every .zero word, so a 21-byte source
+  // could ask for 2^30 - 1 of them (gigabytes of assembler memory).  The
+  // reservation is range-checked at both ends instead.
+  const rv32::Rv32Program r = rv32::assemble_rv32(".data\n.zero 1073741823\nend:\n");
+  EXPECT_TRUE(r.data.empty());
+  EXPECT_EQ(r.symbol("end"), 4294967292);
+  EXPECT_THROW((void)rv32::assemble_rv32(".data\n.org 0xfffffffc\n.zero 2\n"), AsmError);
+  EXPECT_NO_THROW((void)rv32::assemble_rv32(".data\n.org 0xfffffffc\n.zero 1\n"));
+  EXPECT_THROW((void)isa::assemble(".data\n.org -9842\n.zero 1\n"), AsmError);
+  EXPECT_NO_THROW((void)isa::assemble(".data\n.org -9841\n.zero 19683\n"));
 }
 
 TEST(AsmDialect, NestingIsCappedNotRecursedToTheEnd) {

@@ -50,7 +50,7 @@ TEST(Integration, TableIIOrdering) {
   // DMIPS/MHz: VexRiscv > ART-9 > PicoRV32.
   const rv32::Rv32Program rp = rv32::assemble_rv32(dhrystone().rv32);
 
-  rv32::Rv32Simulator rv(rp);
+  rv32::LazyRv32Simulator rv(rp);
   rv32::PicoRv32CycleModel pico;
   rv32::VexRiscvCycleModel vex;
   ASSERT_TRUE(rv.run(200'000'000, [&](const rv32::Rv32Retired& r) {
@@ -72,7 +72,7 @@ TEST(Integration, TableIIOrdering) {
 TEST(Integration, TableIIIArt9BeatsPicoOnEveryBenchmark) {
   for (const BenchmarkSources* b : all_benchmarks()) {
     const rv32::Rv32Program rp = rv32::assemble_rv32(b->rv32);
-    rv32::Rv32Simulator rv(rp);
+    rv32::LazyRv32Simulator rv(rp);
     rv32::PicoRv32CycleModel pico;
     ASSERT_TRUE(rv.run(200'000'000, [&](const rv32::Rv32Retired& r) { pico.observe(r); }).halted)
         << b->name;

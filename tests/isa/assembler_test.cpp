@@ -102,14 +102,13 @@ value: .word 9841
     LOAD T2, 0(T1)
     HALT
 )");
-  ASSERT_EQ(p.data.size(), 6u);
+  ASSERT_EQ(p.data.size(), 4u);  // .zero reserves 103-104 without emitting
   EXPECT_EQ(p.data[0].address, 100);
   EXPECT_EQ(p.data[0].value.to_int(), 1);
   EXPECT_EQ(p.data[1].value.to_int(), -2);
-  EXPECT_EQ(p.data[3].address, 103);
-  EXPECT_TRUE(p.data[3].value.is_zero());
   EXPECT_EQ(p.symbol("value"), 105);
-  EXPECT_EQ(p.data[5].value.to_int(), 9841);
+  EXPECT_EQ(p.data[3].address, 105);
+  EXPECT_EQ(p.data[3].value.to_int(), 9841);
 }
 
 TEST(Assembler, LimmExpansion) {

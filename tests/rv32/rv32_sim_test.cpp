@@ -172,7 +172,7 @@ over2:
 }
 
 TEST(Rv32Sim, ObserverStream) {
-  Rv32Simulator sim(assemble_rv32("li a0, 3\nbeqz a0, skip\nli a1, 1\nskip: ebreak\n"));
+  LazyRv32Simulator sim(assemble_rv32("li a0, 3\nbeqz a0, skip\nli a1, 1\nskip: ebreak\n"));
   std::vector<Rv32Retired> trace;
   const Rv32RunStats stats = sim.run(1000, [&](const Rv32Retired& r) { trace.push_back(r); });
   EXPECT_TRUE(stats.halted);
@@ -181,23 +181,6 @@ TEST(Rv32Sim, ObserverStream) {
   EXPECT_EQ(trace[1].inst.op, Rv32Op::kBeq);
   EXPECT_FALSE(trace[1].taken);
   EXPECT_EQ(trace[3].inst.op, Rv32Op::kEbreak);
-}
-
-TEST(Rv32Sim, ScopedRunObserverRestoresInstalledOne) {
-  // A per-run observer is installed for that run only: an observer set
-  // via set_observer must survive it (it feeds the cycle models across
-  // multiple run() calls).
-  Rv32Simulator sim(assemble_rv32("loop:\n  addi t0, t0, 1\n  j loop\n"));
-  uint64_t persistent = 0;
-  uint64_t scoped = 0;
-  sim.set_observer([&](const Rv32Retired&) { ++persistent; });
-  static_cast<void>(sim.run(4));
-  EXPECT_EQ(persistent, 4u);
-  static_cast<void>(sim.run(4, [&](const Rv32Retired&) { ++scoped; }));
-  EXPECT_EQ(scoped, 4u);
-  EXPECT_EQ(persistent, 4u);  // not fired during the scoped run
-  static_cast<void>(sim.run(4));
-  EXPECT_EQ(persistent, 8u);  // restored, not cleared
 }
 
 TEST(Rv32Sim, FetchOutsideProgramThrows) {

@@ -16,6 +16,8 @@
 #include <thread>
 #include <vector>
 
+#include "serve/json.hpp"
+
 namespace art9::serve {
 namespace {
 
@@ -169,14 +171,17 @@ TEST(HttpServer, EchoRoundTripKeepAliveAndCounters) {
 }
 
 TEST(HttpServer, HandlerExceptionBecomesA500) {
+  // The message is echoed as a JSON string the reader accepts back,
+  // quotes and control characters included.
+  static const std::string kMessage = "deliberate \"failure\"\n\x01";
   HttpServer server(HttpServer::Options{}, [](const HttpRequest&) -> HttpResponse {
-    throw std::runtime_error("deliberate \"failure\"");
+    throw std::runtime_error(kMessage);
   });
   server.start();
   HttpClient client("127.0.0.1", server.port());
   const HttpResponse response = client.get("/boom");
   EXPECT_EQ(response.status, 500);
-  EXPECT_NE(response.body.find("deliberate \\\"failure\\\""), std::string::npos) << response.body;
+  EXPECT_EQ(json::parse_json(response.body).get_string("message", ""), kMessage) << response.body;
   server.stop();
 }
 
@@ -193,7 +198,7 @@ TEST(HttpServer, ProtocolErrorsAnsweredWithTheParserStatus) {
   addr.sin_port = htons(server.port());
   ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
   ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr), 0);
-  const std::string garbage = "GET / HTTP/2.0\r\n\r\n";
+  const std::string garbage = "GET / HTTP/2.0\"\r\n\r\n";
   ASSERT_EQ(::send(fd, garbage.data(), garbage.size(), 0),
             static_cast<ssize_t>(garbage.size()));
   std::string reply;
@@ -204,6 +209,12 @@ TEST(HttpServer, ProtocolErrorsAnsweredWithTheParserStatus) {
   ::close(fd);
   EXPECT_EQ(reply.rfind("HTTP/1.1 505 ", 0), 0u) << reply;
   EXPECT_NE(reply.find("Connection: close\r\n"), std::string::npos) << reply;
+  // The echoed version, quote and all, stays inside a valid JSON string.
+  const std::size_t body = reply.find("\r\n\r\n");
+  ASSERT_NE(body, std::string::npos) << reply;
+  EXPECT_EQ(json::parse_json(reply.substr(body + 4)).get_string("message", ""),
+            "unsupported HTTP version 'HTTP/2.0\"'")
+      << reply;
   server.stop();
 }
 

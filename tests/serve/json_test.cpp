@@ -1,43 +1,15 @@
-// art9::json: the shared writer must render the bench trajectory format
-// byte-for-byte (it moved out of bench/report.hpp; this file is the
-// lock), and the reader must accept exactly the serve request subset and
-// reject malformed input with an offset-bearing JsonError.
+// art9::json: the writer renders compact single-line objects whose
+// strings the reader accepts back (control characters included), and the
+// reader accepts exactly the serve request subset and rejects malformed
+// input with an offset-bearing JsonError.
 #include "serve/json.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 namespace art9::json {
 namespace {
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
-
-TEST(JsonWriter, WritePathRendersTheBenchTrajectoryFormatExactly) {
-  // The historical bench/report.hpp multi-line format, locked so the JSON
-  // trajectory files stay stable across the move into serve/json.hpp.
-  JsonObject report;
-  report.add("schema", std::string("art9.bench.micro_sim.v1"));
-  report.add("sum_to_n.lazy.steps_per_sec", 1234567.0);
-  report.add("sum_to_n.packed.speedup_vs_lazy", 2.5);
-  const std::string path = ::testing::TempDir() + "json_writer_lock.json";
-  ASSERT_TRUE(report.write(path));
-  EXPECT_EQ(slurp(path),
-            "{\n"
-            "  \"schema\": \"art9.bench.micro_sim.v1\",\n"
-            "  \"sum_to_n.lazy.steps_per_sec\": 1.23457e+06,\n"
-            "  \"sum_to_n.packed.speedup_vs_lazy\": 2.5\n"
-            "}\n");
-  std::remove(path.c_str());
-}
 
 TEST(JsonWriter, StrIsCompactAndPreservesInsertionOrder) {
   JsonObject object;
@@ -63,6 +35,18 @@ TEST(JsonWriter, IntArrayAndQuote) {
   const int values[] = {-1, 0, 1};
   EXPECT_EQ(int_array(values), "[-1, 0, 1]");
   EXPECT_EQ(quote("a\"b\\c"), "\"a\\\"b\\\\c\"");
+}
+
+TEST(JsonWriter, ControlCharactersAreEscapedAndRoundTrip) {
+  // Regression: the writer escaped only quote and backslash, so a string
+  // carrying client text with a raw LF or SOH (echoed in a serve error
+  // message) rendered JSON the reader itself rejects.
+  const std::string text = std::string("a\nb\rc\td") + '\x01' + '\x1f' + "\"\\";
+  EXPECT_EQ(quote(text), "\"a\\nb\\rc\\td\\u0001\\u001f\\\"\\\\\"");
+  JsonObject object;
+  object.add("message", text);
+  const JsonValue doc = parse_json(object.str());
+  EXPECT_EQ(doc.get_string("message", ""), text);
 }
 
 TEST(JsonReader, ParsesTheServeRequestShape) {

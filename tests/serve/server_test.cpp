@@ -134,6 +134,47 @@ TEST(SimulationServerRoutes, ProtocolErrorsAreStructured) {
   EXPECT_EQ(server.handle(make_request("DELETE", "/v1/jobs/999")).status, 404);
 }
 
+TEST(SimulationServerRoutes, ErrorBodiesEscapeEchoedControlCharacters) {
+  // Regression: error messages echo client text, and control characters
+  // in it went out raw — a body the server's own parse_json rejects.
+  SimulationServer server;
+  const std::string image =
+      body_of(server.handle(make_request("POST", "/v1/images", kSumProgram)))
+          .get_string("id", "");
+  ASSERT_EQ(image.size(), 16u);
+
+  const HttpResponse engine = server.handle(make_request(
+      "POST", "/v1/jobs", "{\"image\": \"" + image + "\", \"engine\": \"x\\ny\"}"));
+  EXPECT_EQ(engine.status, 400);
+  EXPECT_NE(body_of(engine).get_string("message", "").find("unknown engine 'x\ny'"),
+            std::string::npos)
+      << engine.body;
+
+  const HttpResponse unknown =
+      server.handle(make_request("POST", "/v1/jobs", "{\"image\": \"a\\u0001b\"}"));
+  EXPECT_EQ(unknown.status, 404);
+  EXPECT_NE(body_of(unknown).get_string("message", "").find("image 'a\x01" "b'"),
+            std::string::npos)
+      << unknown.body;
+}
+
+TEST(SimulationServerRoutes, DeadlinePastTheClockRangeIsNoDeadline) {
+  // Regression: now() + deadline overflowed the steady clock for
+  // deadline_ms past ~9.2e12 and landed in the past, so the job resolved
+  // deadline_exceeded before its first instruction.
+  SimulationServer server;
+  const std::string image =
+      body_of(server.handle(make_request("POST", "/v1/images", "LIMM T1, 7\nHALT\n")))
+          .get_string("id", "");
+  ASSERT_EQ(image.size(), 16u);
+  const HttpResponse submitted = server.handle(make_request(
+      "POST", "/v1/jobs",
+      "{\"image\": \"" + image + "\", \"deadline_ms\": 10000000000000}"));
+  ASSERT_EQ(submitted.status, 202) << submitted.body;
+  const json::JsonValue job = await_job(server, body_of(submitted).get_uint64("job", 0));
+  EXPECT_EQ(job.get_string("outcome", ""), "completed");
+}
+
 TEST(SimulationServerRoutes, AssemblerDiagnosticsNameTheirLine) {
   SimulationServer server;
   const auto expect_bad_source = [&](const std::string& target, const std::string& source,

@@ -648,6 +648,47 @@ TEST_P(Rv32EngineConformance, ObserverSeesEveryRetiredInstruction) {
   }
 }
 
+TEST_P(Rv32EngineConformance, TakenFlagsMatchTheOracleOnFallThroughTargets) {
+  // A taken branch or jump whose target is its own fall-through leaves
+  // the same next pc as a not-taken branch, and the Pico/Vex models
+  // charge the two differently: `taken` must come from the executed
+  // instruction, identically to the seed loop's stream.
+  const rv32::Rv32Program program = rv32::assemble_rv32(R"(
+    li   a0, 1
+    li   a1, 3
+loop:
+    beq  zero, zero, f1
+f1: bne  a0, zero, f2
+f2: beq  a0, zero, f3
+f3: jal  zero, f4
+f4: jal  ra, f5
+f5: la   t0, f6
+    jalr zero, 0(t0)
+f6: addi a1, a1, -1
+    slt  t1, zero, a1
+    bnez t1, loop
+    ebreak
+)");
+  std::vector<rv32::Rv32Retired> want;
+  rv32::LazyRv32Simulator oracle(program);
+  ASSERT_TRUE(oracle.run(1000, [&](const rv32::Rv32Retired& r) { want.push_back(r); }).halted);
+
+  std::unique_ptr<Engine> engine = make_engine(GetParam(), rv32::decode(program));
+  std::vector<Retired> got;
+  engine->set_observer([&](const Retired& r) { got.push_back(r); });
+  ASSERT_EQ(engine->run({}).halt, HaltReason::kHalted);
+  ASSERT_EQ(got.size(), want.size());
+  uint64_t taken = 0;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].pc, want[i].pc) << "index " << i;
+    EXPECT_EQ(got[i].taken, want[i].taken) << "index " << i;
+    EXPECT_EQ(rv32::to_string(got[i].rv32()), rv32::to_string(want[i].inst)) << "index " << i;
+    taken += got[i].taken ? 1 : 0;
+  }
+  // Per pass: beq, bne, jal, jal, jalr; the loop's bnez twice of three.
+  EXPECT_EQ(taken, 3u * 5 + 2);
+}
+
 TEST_P(Rv32EngineConformance, ObserverInstalledMidRunNumbersFromZero) {
   std::unique_ptr<Engine> engine =
       make_engine(GetParam(),

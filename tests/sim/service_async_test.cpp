@@ -161,6 +161,25 @@ TEST(ServiceOutcomes, DeadlineCutsARunningJob) {
   EXPECT_EQ(result.run.halt, HaltReason::kMaxCycles);
 }
 
+TEST(ServiceOutcomes, DeadlinePastTheClockRangeIsNoDeadline) {
+  // Regression: now() + deadline overflowed the steady clock past about
+  // 2^63 ns and landed in the past, so the job resolved deadline_exceeded
+  // before its first instruction — solo and in a cohort alike.
+  SimulationService service(1);
+  for (const std::chrono::milliseconds deadline :
+       {std::chrono::milliseconds{10'000'000'000'000}, std::chrono::milliseconds::max()}) {
+    JobControls controls;
+    controls.deadline = deadline;
+    JobHandle solo = service.submit({loop_image(), EngineKind::kFunctional, {}, {}, controls});
+    EXPECT_EQ(solo.result().outcome, JobOutcome::kCompleted) << deadline.count();
+    std::vector<SimulationService::Job> cohort(
+        2, SimulationService::Job{loop_image(), EngineKind::kFleet, {}, {}, controls});
+    for (JobHandle& lane : service.submit_cohort(std::move(cohort))) {
+      EXPECT_EQ(lane.result().outcome, JobOutcome::kCompleted) << deadline.count();
+    }
+  }
+}
+
 TEST(ServiceOutcomes, StalledJobTripsItsDeadline) {
   // The injected deadline stall: the worker wedges for 50 ms at step
   // 10'000, far past the job's 15 ms deadline.
