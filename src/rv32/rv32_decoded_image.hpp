@@ -169,8 +169,8 @@ class Rv32DecodedImage {
 
   [[nodiscard]] uint32_t entry() const noexcept { return entry_; }
 
-  /// The superblock translation (straight-line blocks, fused macro-ops,
-  /// per-block retire deltas) for the rv32 superblock backend.  Built
+  /// The superblock translation (straight-line blocks, fused load+ALU
+  /// pairs, per-block retire deltas) for the rv32 superblock backend.  Built
   /// lazily on first use (thread-safe); defined in rv32_superblock.cpp.
   [[nodiscard]] const Rv32SuperblockPlan& superblocks() const;
 

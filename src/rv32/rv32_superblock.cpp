@@ -22,11 +22,6 @@ namespace {
          k == Rv32Dispatch::kEcall || k == Rv32Dispatch::kEbreak || k == Rv32Dispatch::kTrap;
 }
 
-[[nodiscard]] constexpr bool is_slt(Rv32Dispatch k) noexcept {
-  return k == Rv32Dispatch::kSlt || k == Rv32Dispatch::kSltu || k == Rv32Dispatch::kSlti ||
-         k == Rv32Dispatch::kSltiu;
-}
-
 [[nodiscard]] constexpr bool is_load(Rv32Dispatch k) noexcept {
   return in_kind_range(k, Rv32Dispatch::kLb, Rv32Dispatch::kLhu);
 }
@@ -82,49 +77,16 @@ namespace {
         break;
       }
 
+      // Load + its dependent ALU consumer: one fused pair dispatch.
       const Rv32DecodedOp& q = rows[p.next_row];
-
-      // SLT(I)(U) + BEQ/BNE of the flag against x0: one fused terminator.
-      if (is_slt(p.kind) && p.rd != 0 &&
-          (q.kind == Rv32Dispatch::kBeq || q.kind == Rv32Dispatch::kBne) &&
-          ((q.rs1 == p.rd && q.rs2 == 0) || (q.rs2 == p.rd && q.rs1 == 0))) {
-        blk.term = Rv32SbTerm::kCmpBranch;
-        blk.term_row = p.next_row;
-        blk.term_pc_offset = consumed * 4;
-        blk.cmp_op = p;
-        blk.branch_on_ne = q.kind == Rv32Dispatch::kBne;
-        blk.retires = consumed + 2;
-        blk.min_budget = consumed + 2;
-        ++plan->fused_cmp_branch;
-        break;
-      }
-
-      if (consumed + 2 <= Rv32SuperblockPlan::kMaxBlockInstructions) {
-        // LUI/AUIPC + ADDI over the same register: the constant is fully
-        // static (imm_u already carries the complete LUI/AUIPC result, and
-        // uint32 wraparound makes the fold exact) — one kLui superop.
-        if ((p.kind == Rv32Dispatch::kLui || p.kind == Rv32Dispatch::kAuipc) &&
-            q.kind == Rv32Dispatch::kAddi && q.rs1 == p.rd && q.rd == p.rd) {
-          Rv32SuperOp s;
-          s.op = p;
-          s.op.kind = Rv32Dispatch::kLui;  // wr(imm_u): complete result
-          s.op.imm_u = p.imm_u + q.imm_u;
-          s.pc = pc_of(row);
-          plan->ops.push_back(s);
-          consumed += 2;
-          row = q.next_row;
-          ++plan->fused_const;
-          continue;
-        }
-        // Load + its dependent ALU consumer: one fused pair dispatch.
-        if (is_load(p.kind) && p.rd != 0 && is_fusable_consumer(q, p.rd)) {
-          plan->ops.push_back(Rv32SuperOp{p, pc_of(row), 1});
-          plan->ops.push_back(Rv32SuperOp{q, pc_of(p.next_row), 0});
-          consumed += 2;
-          row = q.next_row;
-          ++plan->fused_load_op;
-          continue;
-        }
+      if (consumed + 2 <= Rv32SuperblockPlan::kMaxBlockInstructions && is_load(p.kind) &&
+          p.rd != 0 && is_fusable_consumer(q, p.rd)) {
+        plan->ops.push_back(Rv32SuperOp{p, pc_of(row), 1});
+        plan->ops.push_back(Rv32SuperOp{q, pc_of(p.next_row), 0});
+        consumed += 2;
+        row = q.next_row;
+        ++plan->fused_load_op;
+        continue;
       }
 
       // Plain body op.
@@ -208,36 +170,6 @@ Rv32RunStats Rv32SuperblockSimulator::run_blocks(uint64_t max_instructions) {
           pc += blk.term_pc_offset;
           row = blk.next_row;
           break;
-        case Rv32SbTerm::kCmpBranch: {
-          const Rv32DecodedOp& c = blk.cmp_op;
-          const uint32_t a = regs_[c.rs1];
-          uint32_t v = 0;
-          switch (c.kind) {
-            case Rv32Dispatch::kSlt:
-              v = static_cast<int32_t>(a) < static_cast<int32_t>(regs_[c.rs2]) ? 1u : 0u;
-              break;
-            case Rv32Dispatch::kSltu:
-              v = a < regs_[c.rs2] ? 1u : 0u;
-              break;
-            case Rv32Dispatch::kSlti:
-              v = static_cast<int32_t>(a) < static_cast<int32_t>(c.imm_u) ? 1u : 0u;
-              break;
-            default:  // kSltiu — the only other fused comparison kind
-              v = a < c.imm_u ? 1u : 0u;
-              break;
-          }
-          regs_[c.rd] = v;  // the builder guarantees c.rd != x0
-          const Rv32DecodedOp& b = rows[blk.term_row];
-          stats.instructions += blk.retires;
-          if (blk.branch_on_ne ? v != 0 : v == 0) {
-            pc = b.taken_pc;
-            row = b.taken_row;
-          } else {
-            pc = b.next_pc;
-            row = b.next_row;
-          }
-          break;
-        }
         case Rv32SbTerm::kOp: {
           const Rv32DecodedOp& top = rows[blk.term_row];
           const uint32_t tpc = pc + blk.term_pc_offset;

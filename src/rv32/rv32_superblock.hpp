@@ -11,11 +11,10 @@
 //    straight-line run that starts there, so dynamic JALR targets and
 //    snapshot restores can enter anywhere, body length capped at
 //    kMaxBlockInstructions;
-//  * macro-op fusion inside blocks: LUI+ADDI / AUIPC+ADDI over the same
-//    register collapse to one constant-formation superop with the result
-//    folded at translation time, SLT(I)(U)+BEQ/BNE against x0 becomes a
-//    kCmpBranch terminator, and a load plus its dependent ALU consumer
-//    executes as one fused pair dispatch;
+//  * one macro-op fusion inside blocks: a load plus its dependent ALU
+//    consumer executes as one fused pair dispatch.  Every instruction,
+//    fused or not, terminators included, runs through
+//    detail::execute_rv32 — the tier has no semantics of its own;
 //  * retire accounting is batched: SimStats-visible instruction counts
 //    are committed once per block from a precomputed per-block delta;
 //  * block-chained dispatch: each terminator carries its successor block
@@ -39,7 +38,7 @@
 namespace art9::rv32 {
 
 /// One body slot of the flat superop stream: the pre-decoded instruction
-/// (possibly rewritten by fusion) plus its static PC.
+/// plus its static PC.
 struct Rv32SuperOp {
   Rv32DecodedOp op;
   uint32_t pc = 0;
@@ -51,7 +50,6 @@ struct Rv32SuperOp {
 enum class Rv32SbTerm : uint8_t {
   kOp,           // execute rows[term_row] through execute_rv32 (branches,
                  // JAL/JALR, the halting ECALL/EBREAK, the trap row)
-  kCmpBranch,    // fused SLT(I)(U) + BEQ/BNE-against-x0, retires 2
   kFallthrough,  // block split at the length cap — chain to next_row
 };
 
@@ -66,11 +64,9 @@ struct Rv32Superblock {
                                 // retires, +1 for zero-retire terminators
                                 // whose *attempt* still needs headroom
   Rv32SbTerm term = Rv32SbTerm::kOp;
-  uint32_t term_row = 0;        // kOp/kCmpBranch: the terminator's row
+  uint32_t term_row = 0;        // kOp: the terminator's row
   uint32_t term_pc_offset = 0;  // terminator PC relative to block entry
                                 // (0 for the dynamically-entered trap row)
-  Rv32DecodedOp cmp_op;         // kCmpBranch: the fused comparison
-  bool branch_on_ne = false;    // kCmpBranch: branch sense
   uint32_t next_row = 0;        // kFallthrough: successor block
 };
 
@@ -84,8 +80,6 @@ struct Rv32SuperblockPlan {
   std::vector<Rv32Superblock> blocks;  // indexed by row, rows()+1 entries
   std::vector<Rv32SuperOp> ops;
   // Translation statistics (tests, introspection):
-  uint32_t fused_const = 0;
-  uint32_t fused_cmp_branch = 0;
   uint32_t fused_load_op = 0;
 };
 

@@ -63,10 +63,12 @@ Word9 encode_immediate(const Instruction& inst, int64_t pc) {
 
 DecodedImage::DecodedImage(const isa::Program& program)
     : program_(program), rows_(static_cast<std::size_t>(TernaryMemory::kRows)) {
-  // Reject out-of-range entries up front: `entry + i` below must not
-  // overflow, and an image whose entry silently wrapped would decode as a
-  // different program.
+  // Reject out-of-range entries and data words up front: `entry + i`
+  // below must not overflow, and an image whose entry or data silently
+  // wrapped would load as a different program on every kind — the packed
+  // kinds place data words through row_of, which folds any address.
   check_t9_address(program.entry, "entry");
+  for (const isa::DataWord& d : program.data) check_t9_address(d.address, "data-word");
   // Every row gets its static PC chain so even the trap path reports a
   // meaningful address; program rows additionally get decoded fields.
   // row = pc + kMaxValue (mod 3^9) is monotone, so the chain is plain

@@ -68,7 +68,8 @@ enum class EngineKind : uint8_t {
   kPipeline,        // cycle-accurate 5-stage pipeline (reference datapath)
   kPackedPipeline,  // the same 5-stage control logic over plane-packed words
   kRv32,            // RV32 baseline, pre-decoded dispatch (reference model)
-  kRv32Superblock,  // RV32 superblock translation tier (fused macro-ops):
+  kRv32Superblock,  // RV32 superblock translation tier (block batching,
+                    // fused load+ALU pairs):
                     // 1.19-1.21x kRv32 on gemm/sobel, where straight-line
                     // runs are long (21/21 interleaved rounds); no
                     // measured difference on bubble-sort or Dhrystone

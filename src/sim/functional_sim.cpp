@@ -23,14 +23,7 @@ FunctionalSimulator::FunctionalSimulator(std::shared_ptr<const DecodedImage> ima
 }
 
 bool FunctionalSimulator::step() {
-  const DecodedOp* fetched = &image_->row(row_);
-  if (fetched->pc != state_.pc) {
-    // A harness redirected state().pc since the last step; re-sync the
-    // cached fetch row (one always-predicted compare on the fast path).
-    row_ = DecodedImage::row_of(state_.pc);
-    fetched = &image_->row(row_);
-  }
-  const DecodedOp& op = *fetched;
+  const DecodedOp& op = image_->row(row_);
   switch (op.kind) {
     case DispatchKind::kBeq:
     case DispatchKind::kBne: {

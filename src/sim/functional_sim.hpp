@@ -35,7 +35,6 @@ class FunctionalSimulator {
   SimStats run(uint64_t max_instructions = 100'000'000);
 
   [[nodiscard]] const ArchState& state() const noexcept { return state_; }
-  [[nodiscard]] ArchState& state() noexcept { return state_; }
   [[nodiscard]] int64_t pc() const noexcept { return state_.pc; }
 
   /// Replaces the architectural state wholesale (snapshot restore) and
@@ -71,7 +70,6 @@ class LazyFunctionalSimulator {
   SimStats run(uint64_t max_instructions = 100'000'000);
 
   [[nodiscard]] const ArchState& state() const noexcept { return state_; }
-  [[nodiscard]] ArchState& state() noexcept { return state_; }
   [[nodiscard]] int64_t pc() const noexcept { return state_.pc; }
 
   /// Replaces the architectural state wholesale (snapshot restore).  The

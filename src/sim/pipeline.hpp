@@ -95,7 +95,6 @@ class PipelineSimulator : public detail::PipelineModel<detail::ReferencePipeline
                              PipelineConfig config = {});
 
   [[nodiscard]] const ArchState& state() const noexcept { return datapath().state; }
-  [[nodiscard]] ArchState& state() noexcept { return datapath().state; }
 
   [[nodiscard]] const ternary::Word9& reg(int index) const { return state().trf.read(index); }
   [[nodiscard]] int64_t reg_int(int index) const { return state().trf.read(index).to_int(); }

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
-#include <fstream>
+#include <string>
 #include <type_traits>
 
 namespace art9::sim {
@@ -279,20 +279,6 @@ MachineState deserialize_snapshot(const uint8_t* data, std::size_t size) {
 
 MachineState deserialize_snapshot(const std::vector<uint8_t>& blob) {
   return deserialize_snapshot(blob.data(), blob.size());
-}
-
-void save_snapshot_file(const std::string& path, const MachineState& state) {
-  const std::vector<uint8_t> blob = serialize_snapshot(state);
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(reinterpret_cast<const char*>(blob.data()), static_cast<std::streamsize>(blob.size()));
-  if (!out) throw SimError("snapshot: cannot write " + path);
-}
-
-MachineState load_snapshot_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw SimError("snapshot: cannot read " + path);
-  std::vector<uint8_t> blob((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-  return deserialize_snapshot(blob);
 }
 
 }  // namespace art9::sim

@@ -44,7 +44,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -66,10 +65,5 @@ inline constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ull;
 /// ...") naming the violation on any malformed or non-canonical input.
 [[nodiscard]] MachineState deserialize_snapshot(const uint8_t* data, std::size_t size);
 [[nodiscard]] MachineState deserialize_snapshot(const std::vector<uint8_t>& blob);
-
-/// File convenience (fuzz artifacts, art9-run --snapshot-out/-in).
-/// Throws SimError on I/O failure.
-void save_snapshot_file(const std::string& path, const MachineState& state);
-[[nodiscard]] MachineState load_snapshot_file(const std::string& path);
 
 }  // namespace art9::sim

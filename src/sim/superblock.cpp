@@ -43,18 +43,6 @@ static_assert(static_cast<uint8_t>(SuperOpKind::kMv) == static_cast<uint8_t>(Dis
   return s;
 }
 
-/// Fused LUI+LI / LUI+ADDI result planes, computed at translation time.
-/// LI keeps the LUI result's high four trits and inserts imm5 (the LUI
-/// word's low five trits are zero, so the planes simply OR); ADDI is a
-/// value-domain add of the LUI result and the numeric immediate.
-[[nodiscard]] BctWord9 fuse_const(const PackedOp& lui, const PackedOp& second) {
-  if (second.kind == DispatchKind::kLi) {
-    return BctWord9::from_planes_unchecked(lui.word_neg | second.word_neg,
-                                           lui.word_pos | second.word_pos);
-  }
-  return pk::add_int(lui.word(), second.imm);
-}
-
 [[nodiscard]] std::shared_ptr<const SuperblockPlan> build_plan(const PackedOp* rows,
                                                                std::size_t n_rows) {
   auto plan = std::make_shared<SuperblockPlan>();
@@ -133,15 +121,15 @@ static_assert(static_cast<uint8_t>(SuperOpKind::kMv) == static_cast<uint8_t>(Dis
       }
 
       if (consumed + 2 <= SuperblockPlan::kMaxBlockInstructions) {
-        // LUI + LI/ADDI over the same register: the constant is fully
-        // static — one kLui whose complete result is the fused planes.
-        if (p.kind == DispatchKind::kLui &&
-            (q.kind == DispatchKind::kLi || q.kind == DispatchKind::kAddi) && q.ta == p.ta) {
+        // LUI + LI over the same register: the constant is fully static —
+        // one kLui whose complete result is the two words' planes OR-ed
+        // (LI keeps the high four trits, and the LUI word's low five trits
+        // are zero).
+        if (p.kind == DispatchKind::kLui && q.kind == DispatchKind::kLi && q.ta == p.ta) {
           SuperOp s = from_packed(p, row);
           s.kind = SuperOpKind::kLui;
-          const BctWord9 value = fuse_const(p, q);
-          s.word_neg = static_cast<uint16_t>(value.neg_plane());
-          s.word_pos = static_cast<uint16_t>(value.pos_plane());
+          s.word_neg = p.word_neg | q.word_neg;
+          s.word_pos = p.word_pos | q.word_pos;
           plan->ops.push_back(s);
           blk.retires += 2;
           consumed += 2;
@@ -162,38 +150,6 @@ static_assert(static_cast<uint8_t>(SuperOpKind::kMv) == static_cast<uint8_t>(Dis
           consumed += 2;
           row = q.next_row;
           ++plan->fused_load_op;
-          continue;
-        }
-        // ADDI + ADDI… on the same register: fold the whole run's
-        // immediates into one kAddi at translation time.  Exact because
-        // (a+i1)+i2 == a+wrap(i1+i2) mod 3^9 — the intermediate wraps
-        // are immaterial, and the fast path never exposes mid-block
-        // states (a partial budget steps the unfused slow path).
-        if (p.kind == DispatchKind::kAddi && q.kind == DispatchKind::kAddi && q.ta == p.ta) {
-          SuperOp s = from_packed(p, row);
-          s.kind = SuperOpKind::kAddi;
-          int32_t folded = pk::wrap(static_cast<int32_t>(p.imm) + q.imm);
-          uint32_t length = 2;
-          uint32_t next = q.next_row;
-          while (consumed + length < SuperblockPlan::kMaxBlockInstructions) {
-            const PackedOp& n = rows[next];
-            if (n.kind != DispatchKind::kAddi || n.ta != p.ta) break;
-            folded = pk::wrap(folded + n.imm);
-            next = n.next_row;
-            ++length;
-          }
-          s.imm = static_cast<int16_t>(folded);  // wrapped, so it fits int16
-          // Refresh the operand planes (from_packed copied the first
-          // link's): backends that add the immediate as a broadcast word
-          // (the fleet tier) read the folded value from here.
-          const BctWord9 folded_word = pk::from_int(folded);
-          s.word_neg = static_cast<uint16_t>(folded_word.neg_plane());
-          s.word_pos = static_cast<uint16_t>(folded_word.pos_plane());
-          plan->ops.push_back(s);
-          blk.retires += length;
-          consumed += length;
-          row = next;
-          ++plan->fused_addi_chain;
           continue;
         }
       }

@@ -14,11 +14,11 @@
 //    starts there (so dynamic JALR targets and snapshot restores can
 //    enter anywhere without mid-block entry logic), body length capped
 //    at kMaxBlockInstructions;
-//  * macro-op fusion inside blocks: LUI+LI / LUI+ADDI collapse to one
-//    kLui slot carrying the result planes precomputed at translation
-//    time, runs of ADDI on one register to one kAddi with the folded
-//    immediate, COMP+BEQ/BNE becomes a kCmpBranch terminator, LOAD+
-//    dependent ALU op becomes one kLoadOp dispatch;
+//  * macro-op fusion inside blocks, on the pairs the software framework
+//    emits: LUI+LI (wide constants) collapses to one kLui slot carrying
+//    the result planes precomputed at translation time, COMP+BEQ/BNE
+//    (every branch) becomes a kCmpBranch terminator, LOAD+dependent ALU
+//    op (spill reloads) becomes one kLoadOp dispatch;
 //  * retire counts and TDM access counters are precomputed per block and
 //    committed once per block by the terminator, not per instruction;
 //  * block-chained dispatch: each terminator carries the successor block
@@ -54,8 +54,8 @@ namespace art9::sim {
 /// mirror DispatchKind's data-processing kinds exactly (same numeric
 /// order) so translation of an unfused body op is a cast; the rest are
 /// the memory ops, the fused LOAD+ALU pair, and the block terminators.
-/// Constant and ADDI-chain fusion need no kind of their own: they are a
-/// kLui / kAddi whose operands the translation precomputed.
+/// Constant fusion needs no kind of its own: it is a kLui whose operand
+/// planes the translation precomputed.
 enum class SuperOpKind : uint8_t {
   kMv,
   kPti,
@@ -91,7 +91,7 @@ enum class SuperOpKind : uint8_t {
 /// One slot of the flat superop stream: body ops and terminators share
 /// the layout (22 bytes) so the inner loop walks one array.
 struct SuperOp {
-  uint16_t word_neg = 0;  // imm/link planes, or a fused constant / ADDI chain
+  uint16_t word_neg = 0;  // imm/link planes, or a fused constant
   uint16_t word_pos = 0;
   int16_t imm = 0;     // numeric immediate (ADDI/SRI/SLI/JALR/LOAD/STORE)
   SuperOpKind kind = SuperOpKind::kTrap;
@@ -110,8 +110,7 @@ struct SuperOp {
 
   static constexpr uint8_t kFlagBne = 1;  // branch sense of kBranch/kCmpBranch
 
-  /// The operand word as planes (immediate, link, or fused constant /
-  /// folded ADDI chain).
+  /// The operand word as planes (immediate, link, or fused constant).
   [[nodiscard]] ternary::BctWord9 word() const noexcept {
     return ternary::BctWord9::from_planes_unchecked(word_neg, word_pos);
   }
@@ -148,7 +147,6 @@ struct SuperblockPlan {
   uint32_t fused_const = 0;
   uint32_t fused_cmp_branch = 0;
   uint32_t fused_load_op = 0;
-  uint32_t fused_addi_chain = 0;  // chains folded (each covers >= 2 ADDIs)
 };
 
 /// The superblock execution backend: packed TRF + packed TDM, executed by

@@ -76,6 +76,11 @@ class Mapper {
 
   void convert_data() {
     for (const rv32::Rv32DataWord& d : in_.data) {
+      // Word A lands at balanced address A, so A itself must fit 9 trits.
+      if (d.address > static_cast<uint32_t>(Word9::kMaxValue)) {
+        throw TranslationError("data word address " + std::to_string(d.address) +
+                               " exceeds the 9-trit range");
+      }
       const auto value = static_cast<int32_t>(d.value);
       if (value < Word9::kMinValue || value > Word9::kMaxValue) {
         throw TranslationError("data word " + std::to_string(value) +

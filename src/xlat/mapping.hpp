@@ -8,7 +8,7 @@
 // TranslationError):
 //  * data access is word-granular (lw/sw only); one rv32 data word at byte
 //    address A lives in the TDM at balanced address A, so pointers and
-//    offsets translate unchanged;
+//    offsets translate unchanged (and A must not exceed 9841);
 //  * values (and initialised data) stay within the 9-trit balanced range
 //    [-9841, +9841];
 //  * and/or/xor (+ immediates 0/1) follow the boolean-operand contract:

@@ -51,9 +51,10 @@ const std::vector<std::pair<std::string, std::vector<uint8_t>>>& fixed_corpus() 
        pinned_to_mode(seeded_input(1, 29), 0)},
       // Pinned coverage (not a bug repro): a hand-built raw-mode case
       // whose program is one straight line of every superblock fusion
-      // pattern — LUI+LI and LUI+ADDI constant formation, LOAD+ADD, and
-      // COMP+BEQ — so the superblock tier's macro-op fusion stays under
-      // the raw oracle's byte-identical trap/state parity forever.
+      // pattern — LUI+LI constant formation, LOAD+ADD, and COMP+BEQ —
+      // plus an unfused LUI+ADDI pair, so the superblock tier's macro-op
+      // fusion stays under the raw oracle's byte-identical trap/state
+      // parity forever.
       // Layout: mode=3(raw), len byte 9 (10 instructions), budget 512,
       // then per instruction: op, ta, tb, bcond, [imm16le].
       {"superblock fused-pair straight line, raw parity",
@@ -61,7 +62,7 @@ const std::vector<std::pair<std::string, std::vector<uint8_t>>>& fixed_corpus() 
         16,   1,    0,    1,    0x2B, 0x00,  // LUI  t1, 3
         17,   1,    0,    1,    0x7E, 0x00,  // LI   t1, 5   (fused const)
         16,   2,    0,    1,    0x2A, 0x00,  // LUI  t2, 2
-        13,   2,    0,    1,    0x14, 0x00,  // ADDI t2, 7   (fused const)
+        13,   2,    0,    1,    0x14, 0x00,  // ADDI t2, 7   (runs unfused)
         22,   3,    4,    1,    0x0D, 0x00,  // LOAD t3, [t4+0]
         7,    5,    3,    1,                 // ADD  t5, t3  (fused load+op)
         11,   6,    1,    1,                 // COMP t6, t1

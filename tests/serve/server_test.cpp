@@ -199,6 +199,21 @@ TEST(SimulationServerRoutes, AssemblerDiagnosticsNameTheirLine) {
             201);
 }
 
+TEST(SimulationServerRoutes, TranslatedDataOutsideTheTritRangeIsABadSource) {
+  // Word A lands at balanced address A; a word past 9841 would otherwise
+  // wrap on the packed kinds and trap on the reference kinds.
+  SimulationServer server;
+  const HttpResponse response = server.handle(
+      make_request("POST", "/v1/images?format=rv32_translate",
+                   ".data\n.org 40000\nv: .word 5\n.text\nmain:\n  lw a0, 0(zero)\n  ebreak\n"));
+  EXPECT_EQ(response.status, 400) << response.body;
+  const json::JsonValue body = body_of(response);
+  EXPECT_EQ(body.get_string("error", ""), "bad_source");
+  EXPECT_NE(body.get_string("message", "").find("data word address 40000 exceeds the 9-trit range"),
+            std::string::npos)
+      << response.body;
+}
+
 TEST(SimulationServerRoutes, AdmissionRejectsAreStructuredAndCounted) {
   SimulationServer::Options options;
   options.service_threads = 1;

@@ -618,7 +618,7 @@ TEST_P(Rv32EngineConformance, StepLoopMatchesRun) {
 // --- the retired-instruction observer ----------------------------------------
 
 TEST_P(Rv32EngineConformance, ObserverSeesEveryRetiredInstruction) {
-  // The rv32 stream keeps the native Rv32Simulator::Observer convention:
+  // The rv32 stream keeps the LazyRv32Simulator::Observer convention:
   // the halting ECALL/EBREAK is observed (the baseline cycle models need
   // it), so a halted run streams instructions + 1 events.
   const std::shared_ptr<const rv32::Rv32DecodedImage> image =

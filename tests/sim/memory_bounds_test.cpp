@@ -78,6 +78,15 @@ TEST(MemoryBounds, LoadRejectsOutOfRangeDataWordNamingAddress) {
     EXPECT_NE(std::string(e.what()).find("-9843"), std::string::npos) << e.what();
     EXPECT_NE(std::string(e.what()).find("data-word"), std::string::npos) << e.what();
   }
+  // The pre-decoded front end rejects it too, so the packed kinds (which
+  // place data words by folded row) never load a wrapped image.
+  try {
+    static_cast<void>(decode(program));
+    FAIL() << "out-of-range data word must not decode";
+  } catch (const SimError& e) {
+    EXPECT_NE(std::string(e.what()).find("-9843"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("data-word"), std::string::npos) << e.what();
+  }
 }
 
 TEST(MemoryBounds, InRangeProgramStillLoadsEverywhere) {

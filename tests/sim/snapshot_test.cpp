@@ -264,14 +264,6 @@ TEST(Snapshot, CarriesAccessCounters) {
   EXPECT_EQ(back.art9().tdm.writes(), state.art9().tdm.writes());
 }
 
-TEST(Snapshot, FileRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/art9_snapshot_test.snap";
-  const MachineState state = sample_art9_state();
-  save_snapshot_file(path, state);
-  EXPECT_EQ(load_snapshot_file(path), state);
-  EXPECT_THROW(static_cast<void>(load_snapshot_file(path + ".does-not-exist")), SimError);
-}
-
 TEST(Snapshot, RejectsCorruptedBlobs) {
   std::vector<uint8_t> blob = serialize_snapshot(sample_art9_state());
 

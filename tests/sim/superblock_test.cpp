@@ -1,8 +1,10 @@
 // Superblock-tier regression suite, both ISAs: the block translation's
 // macro-op fusion must be architecturally invisible.  Locks
-//  * that the fused-heavy corpus actually takes every fusion pattern
-//    (plan counters — a silent fusion regression would otherwise leave
-//    the parity tests green while benching the unfused path);
+//  * that the fused-heavy corpus and the benchmark corpus actually take
+//    every fusion pattern the planners keep (plan counters — a silent
+//    fusion regression, or a translator change that stops emitting a
+//    fused idiom, would otherwise leave the parity tests green while
+//    benching the unfused path);
 //  * bit-identity of the fused path against the golden per-instruction
 //    model at *every* budget 0..N — including budgets that die between
 //    the two halves of a fused pair and exactly at a block body's end
@@ -14,15 +16,18 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <string>
 
+#include "core/benchmarks.hpp"
 #include "isa/assembler.hpp"
 #include "rv32/rv32_assembler.hpp"
 #include "rv32/rv32_superblock.hpp"
 #include "sim/engine.hpp"
 #include "sim/functional_sim.hpp"
 #include "sim/superblock.hpp"
+#include "xlat/framework.hpp"
 
 namespace art9::sim {
 namespace {
@@ -30,9 +35,10 @@ namespace {
 // ---------------------------------------------------------------------------
 // Corpora
 
-/// One straight line through every ART-9 fusion pattern: LUI+LI and
-/// LUI+ADDI constant formation, LOAD feeding a register ALU op, and a
-/// COMP whose result is only consumed by the following branch.
+/// One straight line through every ART-9 fusion pattern: LUI+LI
+/// constant formation, LOAD feeding a register ALU op, and a COMP whose
+/// result is only consumed by the following branch — plus a LUI+ADDI
+/// pair, which runs unfused.
 const char* art9_fused_source() {
   return R"(
     LIMM  T4, 100
@@ -96,9 +102,9 @@ const char* art9_every_opcode_source() {
   )";
 }
 
-/// One straight line through every rv32 fusion pattern: LUI+ADDI
-/// constant formation, LW feeding an ADD, and an SLTI consumed only by
-/// a BNE against x0.
+/// One straight line through the rv32 load+ALU fusion (LW feeding an
+/// ADD), plus a LUI+ADDI constant and an SLTI consumed only by a BNE
+/// against x0, which run unfused.
 const char* rv32_fused_source() {
   return R"(
     li   t3, 64
@@ -164,6 +170,25 @@ TEST(SuperblockPlan, FusedCorpusTakesEveryPattern) {
   EXPECT_GT(plan.fused_cmp_branch, 0u);
   EXPECT_GT(plan.fused_load_op, 0u);
   EXPECT_FALSE(plan.blocks.empty());
+
+  // The translated benchmark corpus forms every kept fusion: each one
+  // carries the traffic of an idiom the software framework emits (LUI+LI
+  // wide constants, COMP+BEQ/BNE branches, spill reloads into ALU ops).
+  uint32_t fused_const = 0;
+  uint32_t fused_cmp_branch = 0;
+  uint32_t fused_load_op = 0;
+  for (const core::BenchmarkSources* bench : core::all_benchmarks()) {
+    xlat::SoftwareFramework framework;
+    const std::shared_ptr<const DecodedImage> image =
+        decode(framework.translate(rv32::assemble_rv32(bench->rv32)).program);
+    const SuperblockPlan& corpus_plan = image->superblocks();
+    fused_const += corpus_plan.fused_const;
+    fused_cmp_branch += corpus_plan.fused_cmp_branch;
+    fused_load_op += corpus_plan.fused_load_op;
+  }
+  EXPECT_GT(fused_const, 0u);
+  EXPECT_GT(fused_cmp_branch, 0u);
+  EXPECT_GT(fused_load_op, 0u);
 }
 
 TEST(SuperblockParity, FusedCorpusBitIdenticalAtEveryBudget) {
@@ -182,32 +207,10 @@ TEST(SuperblockParity, EveryOpcodeCorpusBitIdenticalAtEveryBudget) {
                                 full.instructions + 2);
 }
 
-TEST(SuperblockPlan, AddiChainsFoldAcrossRunsOfOneRegister) {
-  // Three fusable runs reachable from the entry: a 4-deep chain on T1, a
-  // 2-deep chain on T2, and a pair on T3 split by an op on another
-  // register (the T4 write breaks the chain).  Every TIM row gets its
-  // own block, so suffixes of each chain re-fuse in later-entry blocks —
-  // the counter is a lower bound of 3, not an exact 3.
-  const SuperblockSimulator sim(isa::assemble(R"(
-    ADDI T1, 1
-    ADDI T1, 2
-    ADDI T1, 3
-    ADDI T1, -4
-    ADDI T2, 13
-    ADDI T2, -11
-    ADDI T3, 5
-    ADDI T3, 6
-    ADDI T4, 9
-    ADDI T3, 7
-    HALT
-  )"));
-  EXPECT_GE(sim.plan().fused_addi_chain, 3u);
-}
-
 TEST(SuperblockParity, AddiChainBitIdenticalAtEveryBudget) {
-  // Budgets dying inside a folded chain must still observe every
-  // intermediate architectural state (the partial block steps on the
-  // per-instruction tail) — including wrap-around past +-9841.
+  // Runs of ADDI on one register, wrapping past +-9841, at every budget —
+  // block bodies and the per-instruction tail must agree on every
+  // intermediate architectural state.
   const isa::Program program = isa::assemble(R"(
     LIMM  T1, 9835
     ADDI  T1, 13
@@ -219,13 +222,11 @@ TEST(SuperblockParity, AddiChainBitIdenticalAtEveryBudget) {
     ADD   T2, T1
     HALT
   )");
-  const SuperblockSimulator sim(program);
-  EXPECT_GT(sim.plan().fused_addi_chain, 0u);
   const SimStats full = make_engine(EngineKind::kFunctional, decode(program))->run_stats();
   ASSERT_EQ(full.halt, HaltReason::kHalted);
   expect_budget_sweep_identical(EngineKind::kFunctional, EngineKind::kSuperblock, program,
                                 full.instructions + 2);
-  // The fleet backend shares the plan (and the folded fast path).
+  // The fleet backend shares the plan.
   expect_budget_sweep_identical(EngineKind::kFunctional, EngineKind::kFleet, program,
                                 full.instructions + 2);
 }
@@ -310,10 +311,17 @@ TEST(SuperblockInspection, AccessorsDecodeOnDemand) {
 TEST(Rv32SuperblockPlan, FusedCorpusTakesEveryPattern) {
   const rv32::Rv32SuperblockSimulator sim(rv32::assemble_rv32(rv32_fused_source()));
   const rv32::Rv32SuperblockPlan& plan = sim.plan();
-  EXPECT_GT(plan.fused_const, 0u);
-  EXPECT_GT(plan.fused_cmp_branch, 0u);
   EXPECT_GT(plan.fused_load_op, 0u);
   EXPECT_FALSE(plan.blocks.empty());
+
+  // The benchmark corpus forms the kept load+ALU fusion too.
+  uint32_t fused_load_op = 0;
+  for (const core::BenchmarkSources* bench : core::all_benchmarks()) {
+    const std::shared_ptr<const rv32::Rv32DecodedImage> image =
+        rv32::decode(rv32::assemble_rv32(bench->rv32));
+    fused_load_op += image->superblocks().fused_load_op;
+  }
+  EXPECT_GT(fused_load_op, 0u);
 }
 
 TEST(Rv32SuperblockParity, FusedCorpusBitIdenticalAtEveryBudget) {

@@ -363,6 +363,17 @@ TEST(Mapping, DataOutOfRangeRejected) {
   EXPECT_THROW(
       (void)framework.translate(rv32::assemble_rv32(".data\n.word 10000\n.text\nebreak\n")),
       TranslationError);
+  // Word A lands at balanced address A: 9840 is the last word that fits.
+  EXPECT_NO_THROW((void)framework.translate(
+      rv32::assemble_rv32(".data\n.org 9840\nv: .word 5\n.text\nebreak\n")));
+  try {
+    (void)framework.translate(
+        rv32::assemble_rv32(".data\n.org 40000\nv: .word 5\n.text\nebreak\n"));
+    FAIL() << "out-of-range data address must not translate";
+  } catch (const TranslationError& e) {
+    EXPECT_NE(std::string(e.what()).find("data word address 40000"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Mapping, StatsAreFilled) {
