@@ -10,6 +10,13 @@ namespace {
 
 bool is_space(char c) { return std::isspace(static_cast<unsigned char>(c)) != 0; }
 
+/// Marks `st` misplaced: it reserves no space, and pass 2 raises `message`
+/// when it reaches the line.
+void misplace(Statement& st, std::string message) {
+  st.kind = Statement::Kind::kMisplaced;
+  st.misplaced = std::move(message);
+}
+
 std::string_view trim(std::string_view s) {
   while (!s.empty() && is_space(s.front())) s.remove_prefix(1);
   while (!s.empty() && is_space(s.back())) s.remove_suffix(1);
@@ -247,8 +254,9 @@ void TwoPassAssembler::pass1_line(std::string_view line, int line_no) {
   st.operands = split_operands(trim(line.substr(gap)));
   if (st.head.front() == '.') {
     if (!directive(st)) return;
+  } else if (section_ == Section::kData) {
+    misplace(st, "instructions are not allowed in .data");
   } else {
-    if (section_ == Section::kData) throw std::invalid_argument("instructions are not allowed in .data");
     st.address = text_address_;
     st.size = instruction_size(st);
     text_address_ = checked_add(text_address_, st.size);
@@ -289,9 +297,13 @@ bool TwoPassAssembler::directive(Statement& st) {
   } else if (iequals(name, ".zero")) {
     st.kind = Statement::Kind::kZero;
   } else {
-    throw std::invalid_argument("unknown directive '" + std::string(name) + "'");
+    misplace(st, "unknown directive '" + std::string(name) + "'");
+    return true;
   }
-  if (section_ != Section::kData) throw std::invalid_argument(std::string(name) + " requires .data");
+  if (section_ != Section::kData) {
+    misplace(st, std::string(name) + " requires .data");
+    return true;
+  }
   int64_t words = static_cast<int64_t>(st.operands.size());
   if (st.kind == Statement::Kind::kZero) {
     st.expect_operands(1);
@@ -312,6 +324,7 @@ void TwoPassAssembler::define(const std::string& name, int64_t value, bool is_co
 }
 
 void TwoPassAssembler::pass2(const Statement& st) {
+  if (st.kind == Statement::Kind::kMisplaced) throw std::invalid_argument(st.misplaced);
   if (st.kind == Statement::Kind::kInstruction) {
     instruction(st);
     return;

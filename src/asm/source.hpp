@@ -20,10 +20,14 @@
 // are evaluated in int64 and fail rather than wrap ("expression overflows
 // 64 bits").  Pass 1 evaluates .org, .equ and .zero against the constants
 // defined above them; pass 2 evaluates everything else against every
-// label and constant.  A branch target that is a bare identifier is a
-// label (the assembler forms the offset from the instruction to it);
-// anything else is a raw offset.  Memory operands are `imm(reg)`, the
-// immediate defaulting to 0.
+// label and constant.  A misplaced statement (an unknown directive,
+// .word/.zero outside .data, an instruction inside it) reserves no space
+// and fails in pass 2 at its line, in line order with the instruction
+// errors; layout errors (bad or duplicate labels, .org/.equ/.zero
+// operands) fail at once in pass 1.  A branch target that is a bare
+// identifier is a label (the assembler forms the offset from the
+// instruction to it); anything else is a raw offset.  Memory operands are
+// `imm(reg)`, the immediate defaulting to 0.
 //
 // Each ISA subclasses TwoPassAssembler and supplies only what differs: its
 // mnemonics, registers and pseudo-ops (instruction_size, instruction), the
@@ -67,7 +71,7 @@ class AsmError : public std::runtime_error {
 /// One instruction or data directive as pass 1 laid it out.  The views
 /// point into the source text, which outlives the assembly.
 struct Statement {
-  enum class Kind : uint8_t { kInstruction, kWord, kZero };
+  enum class Kind : uint8_t { kInstruction, kWord, kZero, kMisplaced };
 
   Kind kind = Kind::kInstruction;
   int line = 0;
@@ -75,6 +79,7 @@ struct Statement {
   std::vector<std::string_view> operands;  // trimmed
   int64_t address = 0;                     // section address
   int64_t size = 0;                        // address units reserved in pass 1
+  std::string misplaced;                   // kMisplaced: the diagnostic pass 2 raises
 
   /// Throws std::invalid_argument unless there are exactly `n` operands.
   void expect_operands(std::size_t n) const;
@@ -122,7 +127,8 @@ class TwoPassAssembler {
   enum class Section { kText, kData };
 
   void pass1_line(std::string_view line, int line_no);
-  /// Applies a directive; true for .word/.zero, which pass 2 emits.
+  /// Applies a directive; true for the statements pass 2 handles: .word,
+  /// .zero and misplaced ones.
   bool directive(Statement& st);
   void define(const std::string& name, int64_t value, bool is_constant);
   void pass2(const Statement& st);

@@ -50,8 +50,11 @@ Built build(ImageFormat format, std::string_view source) {
   switch (format) {
     case ImageFormat::kArt9Asm: {
       auto image = sim::decode(isa::assemble(source));
-      // Estimate: pre-decoded rows dominate (DecodedOp + lazily built
-      // PackedOp), plus the retained source-size order of magnitude.
+      // Estimate: the pre-decoded rows dominate, plus the retained
+      // source-size order of magnitude.  96 B a row over-covers the
+      // 30-byte dispatch row plus the ~42 B a row of superblock plan
+      // that a superblock or fleet job adds; the charge is kept so the
+      // cache holds as many images as it always has.
       out.bytes = image->rows() * 96 + source.size();
       out.image = sim::EngineImage(std::move(image));
       break;

@@ -63,61 +63,47 @@ Word9 encode_immediate(const Instruction& inst, int64_t pc) {
 
 DecodedImage::DecodedImage(const isa::Program& program)
     : program_(program), rows_(static_cast<std::size_t>(TernaryMemory::kRows)) {
-  // Reject out-of-range entries and data words up front: `entry + i`
-  // below must not overflow, and an image whose entry or data silently
-  // wrapped would load as a different program on every kind — the packed
-  // kinds place data words through row_of, which folds any address.
-  check_t9_address(program.entry, "entry");
-  for (const isa::DataWord& d : program.data) check_t9_address(d.address, "data-word");
+  // Reject what would load as a different program up front: an entry or
+  // data word that silently wrapped (the packed kinds place data words
+  // through row_of, which folds any address), or code past the last row,
+  // which would overwrite the first.  It also keeps `entry + i` below
+  // from overflowing.
+  check_t9_program(program);
   // Every row gets its static PC chain so even the trap path reports a
-  // meaningful address; program rows additionally get decoded fields.
+  // meaningful address; code rows additionally get decoded fields.
   // row = pc + kMaxValue (mod 3^9) is monotone, so the chain is plain
   // arithmetic — no per-row 9-trit wrap round trips.
   for (std::size_t r = 0; r < rows_.size(); ++r) {
-    DecodedOp& op = rows_[r];
-    op.pc = static_cast<int64_t>(r) - Word9::kMaxValue;
-    op.next_pc = op.pc == Word9::kMaxValue ? Word9::kMinValue : op.pc + 1;
-    op.next_row = r + 1 == rows_.size() ? 0 : static_cast<uint32_t>(r + 1);
+    PackedOp& op = rows_[r];
+    const int64_t pc = static_cast<int64_t>(r) - Word9::kMaxValue;
+    op.pc = static_cast<int16_t>(pc);
+    op.next_pc = static_cast<int16_t>(pc == Word9::kMaxValue ? Word9::kMinValue : pc + 1);
+    op.next_row = static_cast<uint16_t>(r + 1 == rows_.size() ? 0 : r + 1);
   }
   for (std::size_t i = 0; i < program.code.size(); ++i) {
+    const Instruction& inst = program.code[i];
     const int64_t pc = ArchState::wrap(program.entry + static_cast<int64_t>(i));
-    DecodedOp& op = rows_[row_of(pc)];
-    op.inst = program.code[i];
-    op.kind = kind_of(op.inst);
-    op.writes_ta = isa::spec(op.inst.op).writes_ta;
-    op.taken_pc = ArchState::wrap(pc + op.inst.imm);
-    op.taken_row = static_cast<uint32_t>(row_of(op.taken_pc));
-    op.link = Word9::from_int_wrapped(pc + 1);
-    op.imm_word = encode_immediate(op.inst, pc);
+    PackedOp& op = rows_[row_of(pc)];
+    op.kind = kind_of(inst);
+    op.imm = static_cast<int16_t>(inst.imm);
+    op.ta = static_cast<uint8_t>(inst.ta);
+    op.tb = static_cast<uint8_t>(inst.tb);
+    op.bcond = static_cast<int8_t>(inst.bcond.value());
+    const int64_t taken_pc = ArchState::wrap(pc + inst.imm);
+    op.taken_pc = static_cast<int16_t>(taken_pc);
+    op.taken_row = static_cast<uint16_t>(row_of(taken_pc));
+    const bool is_jump = op.kind == DispatchKind::kJal || op.kind == DispatchKind::kJalr;
+    op.word9 = is_jump ? Word9::from_int_wrapped(pc + 1) : encode_immediate(inst, pc);
+    const ternary::BctWord9 planes = ternary::BctWord9::encode(op.word9);
+    op.word_neg = static_cast<uint16_t>(planes.neg_plane());
+    op.word_pos = static_cast<uint16_t>(planes.pos_plane());
   }
 }
 
-const PackedOp* DecodedImage::packed_rows() const {
-  // The packed TIM mirrors every row in 24-byte plane-pair form; built
-  // once, on the first packed-backend use, so reference-only simulators
-  // never pay the mirror's memory or encode pass.
-  std::call_once(packed_once_, [this] {
-    packed_rows_.resize(rows_.size());
-    for (std::size_t r = 0; r < rows_.size(); ++r) {
-      const DecodedOp& op = rows_[r];
-      PackedOp& p = packed_rows_[r];
-      const bool is_jump = op.kind == DispatchKind::kJal || op.kind == DispatchKind::kJalr;
-      const ternary::BctWord9 word = ternary::BctWord9::encode(is_jump ? op.link : op.imm_word);
-      p.word_neg = static_cast<uint16_t>(word.neg_plane());
-      p.word_pos = static_cast<uint16_t>(word.pos_plane());
-      p.imm = static_cast<int16_t>(op.inst.imm);
-      p.kind = op.kind;
-      p.ta = static_cast<uint8_t>(op.inst.ta);
-      p.tb = static_cast<uint8_t>(op.inst.tb);
-      p.bcond = static_cast<int8_t>(op.inst.bcond.value());
-      p.pc = static_cast<int16_t>(op.pc);
-      p.next_pc = static_cast<int16_t>(op.next_pc);
-      p.next_row = static_cast<uint16_t>(op.next_row);
-      p.taken_pc = static_cast<int16_t>(op.taken_pc);
-      p.taken_row = static_cast<uint16_t>(op.taken_row);
-    }
-  });
-  return packed_rows_.data();
+const Instruction& DecodedImage::instruction(std::size_t r) const noexcept {
+  static const Instruction kNoCode{};
+  const std::size_t i = code_index(r, row_of(program_.entry));
+  return i < program_.code.size() ? program_.code[i] : kNoCode;
 }
 
 std::shared_ptr<const DecodedImage> decode(const isa::Program& program) {

@@ -119,7 +119,7 @@ class InstructionEngine final : public Engine {
     if constexpr (kRv32) {
       observer_(Retired{image_->instruction(image_->row_of(pc)), pc, retired_++, sim_.taken()});
     } else if (more) {
-      observer_(Retired{image_->fetch(pc).inst, pc, retired_++});
+      observer_(Retired{image_->instruction(image_->row_of(pc)), pc, retired_++});
     }
     return more;
   }

@@ -96,13 +96,13 @@ FleetSimulator::FleetSimulator(const isa::Program& program, unsigned lanes)
     : FleetSimulator(decode(program), lanes) {}
 
 FleetSimulator::FleetSimulator(std::shared_ptr<const DecodedImage> image, unsigned lanes)
-    : image_(std::move(image)), prows_(nullptr), plan_(nullptr), lanes_(lanes) {
+    : image_(std::move(image)), rows_(nullptr), plan_(nullptr), lanes_(lanes) {
   if (!image_) throw std::invalid_argument("FleetSimulator: null image");
   if (lanes_ < 1 || lanes_ > kMaxLanes) {
     throw std::invalid_argument("FleetSimulator: lanes must be in [1, " +
                                 std::to_string(kMaxLanes) + "]");
   }
-  prows_ = image_->packed_rows();
+  rows_ = image_->rows_data();
   plan_ = &image_->superblocks();
   stdm_.resize(static_cast<std::size_t>(PackedMemory::kRows));
   // Every lane boots with the same image, so data words broadcast.
@@ -135,7 +135,7 @@ bool FleetSimulator::step_lane(unsigned lane) {
       bs::copy_lane(f.stdm_[row], f.trf_[r], lane);
     }
   };
-  return packed_step(Lane{*this, lane}, prows_, row_[lane]);
+  return packed_step(Lane{*this, lane}, rows_, row_[lane]);
 }
 
 // One full superblock pass for every lane in `mask` — every body op is
@@ -428,7 +428,7 @@ int64_t FleetSimulator::pc(unsigned lane) const {
   if (lane >= lanes_) throw std::out_of_range("FleetSimulator::pc: lane out of range");
   // row_ and pc stay in bijection (every row carries its canonical
   // balanced address), so the row is the single source of truth.
-  return prows_[row_[lane]].pc;
+  return rows_[row_[lane]].pc;
 }
 
 ArchState FleetSimulator::unpack_lane(unsigned lane) const {

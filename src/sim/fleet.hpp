@@ -117,7 +117,7 @@ class FleetSimulator {
   [[nodiscard]] ternary::BctWord9 lane_word(int reg, unsigned lane) const;
 
   std::shared_ptr<const DecodedImage> image_;
-  const PackedOp* prows_;
+  const PackedOp* rows_;  // the image's row table (per-lane slow path, pc)
   const SuperblockPlan* plan_;
   unsigned lanes_;
   // Transposed register file: per architectural register, 9 trit-plane

@@ -23,12 +23,11 @@ FunctionalSimulator::FunctionalSimulator(std::shared_ptr<const DecodedImage> ima
 }
 
 bool FunctionalSimulator::step() {
-  const DecodedOp& op = image_->row(row_);
+  const PackedOp& op = image_->row(row_);
   switch (op.kind) {
     case DispatchKind::kBeq:
     case DispatchKind::kBne: {
-      const ternary::Trit lst = state_.trf.read(op.inst.tb).lst();
-      const bool eq = lst == op.inst.bcond;
+      const bool eq = state_.trf.read(op.tb).lst().value() == op.bcond;
       const bool taken = op.kind == DispatchKind::kBeq ? eq : !eq;
       if (taken) {
         state_.pc = op.taken_pc;
@@ -42,38 +41,35 @@ bool FunctionalSimulator::step() {
     case DispatchKind::kHalt:
       return false;
     case DispatchKind::kJal:
-      state_.trf.write(op.inst.ta, op.link);
+      state_.trf.write(op.ta, op.word9);  // the link
       state_.pc = op.taken_pc;
       row_ = op.taken_row;
       return true;
     case DispatchKind::kJalr: {
-      const int64_t target = ArchState::wrap(state_.trf.read(op.inst.tb).to_int() + op.inst.imm);
+      const int64_t target = ArchState::wrap(state_.trf.read(op.tb).to_int() + op.imm);
       if (target == op.pc) return false;  // self-jump = halt (no link write)
-      state_.trf.write(op.inst.ta, op.link);
+      state_.trf.write(op.ta, op.word9);
       state_.pc = target;
       row_ = DecodedImage::row_of(target);
       return true;
     }
     case DispatchKind::kLoad: {
-      const int64_t addr = state_.trf.read(op.inst.tb).to_int() + op.inst.imm;
-      state_.trf.write(op.inst.ta, state_.tdm.read(addr));
+      const int64_t addr = state_.trf.read(op.tb).to_int() + op.imm;
+      state_.trf.write(op.ta, state_.tdm.read(addr));
       break;
     }
     case DispatchKind::kStore: {
-      const int64_t addr = state_.trf.read(op.inst.tb).to_int() + op.inst.imm;
-      state_.tdm.write(addr, state_.trf.read(op.inst.ta));
+      const int64_t addr = state_.trf.read(op.tb).to_int() + op.imm;
+      state_.tdm.write(addr, state_.trf.read(op.ta));
       break;
     }
     case DispatchKind::kInvalid:
       throw SimError("fetch from uninitialised TIM address " + std::to_string(op.pc));
-    default: {
-      // Data-processing opcodes (MV..LI): one TALU evaluation off the
-      // pre-decoded row (immediates already encoded — no from_int here).
-      const Word9& a = state_.trf.read(op.inst.ta);
-      const Word9& b = state_.trf.read(op.inst.tb);
-      if (op.writes_ta) state_.trf.write(op.inst.ta, execute(op, a, b));
+    default:
+      // Data-processing opcodes (MV..LI), which all write Ta: one TALU
+      // evaluation off the row (immediates already encoded — no from_int).
+      state_.trf.write(op.ta, execute(op, state_.trf.read(op.ta), state_.trf.read(op.tb)));
       break;
-    }
   }
   state_.pc = op.next_pc;
   row_ = op.next_row;
@@ -87,24 +83,16 @@ SimStats FunctionalSimulator::run(uint64_t max_instructions) {
 // ---- seed lazy decode-on-fetch baseline ------------------------------------
 
 LazyFunctionalSimulator::LazyFunctionalSimulator(const isa::Program& program)
-    : tim_(static_cast<std::size_t>(TernaryMemory::kRows)),
-      tim_valid_(static_cast<std::size_t>(TernaryMemory::kRows), false) {
-  // load_data first: it validates entry/data addresses, so `entry + i`
-  // below cannot overflow int64.
-  load_data(program, state_);
-  for (std::size_t i = 0; i < program.code.size(); ++i) {
-    const std::size_t row = TernaryMemory::row_of(program.entry + static_cast<int64_t>(i));
-    tim_[row] = program.code[i];
-    tim_valid_[row] = true;
-  }
+    : code_(program.code), entry_row_(TernaryMemory::row_of(program.entry)) {
+  load_data(program, state_);  // validates the entry, code size and data addresses
 }
 
 const Instruction& LazyFunctionalSimulator::fetch(int64_t pc) const {
-  const std::size_t row = TernaryMemory::row_of(pc);
-  if (!tim_valid_[row]) {
+  const std::size_t i = code_index(TernaryMemory::row_of(pc), entry_row_);
+  if (i >= code_.size()) {
     throw SimError("fetch from uninitialised TIM address " + std::to_string(pc));
   }
-  return tim_[row];
+  return code_[i];
 }
 
 bool LazyFunctionalSimulator::step() {

@@ -1,11 +1,12 @@
 // Functional (instruction-at-a-time) ART-9 simulator — the golden model
 // that the cycle-accurate pipeline is differentially tested against.
 //
-// The hot loop runs off a pre-decoded DecodedImage: dispatch is a single
-// dense-kind switch with precomputed PC chains (see decoded_image.hpp).
-// The seed's lazy decode-on-fetch loop is retained as
-// LazyFunctionalSimulator so the dispatch fast path stays differentially
-// testable and benchmarkable against the original.
+// The hot loop runs off a pre-decoded DecodedImage — the same rows the
+// packed kinds run, read through their Word9 operand — so dispatch is a
+// single dense-kind switch with precomputed PC chains (see
+// decoded_image.hpp).  The seed's lazy decode-on-fetch loop is retained
+// as LazyFunctionalSimulator so the dispatch fast path stays
+// differentially testable and benchmarkable against the original.
 #pragma once
 
 #include <cstdint>
@@ -84,9 +85,10 @@ class LazyFunctionalSimulator {
   const isa::Instruction& fetch(int64_t pc) const;
 
   ArchState state_;
-  // Lazily-validated TIM rows (self-modifying code unsupported, by design).
-  std::vector<isa::Instruction> tim_;
-  std::vector<bool> tim_valid_;
+  // The TIM is the program's code, fetched at the pc's row offset from the
+  // entry's (self-modifying code unsupported, by design).
+  std::vector<isa::Instruction> code_;
+  std::size_t entry_row_;
 };
 
 }  // namespace art9::sim

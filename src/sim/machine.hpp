@@ -128,15 +128,32 @@ inline void check_t9_address(int64_t address, const char* what) {
   }
 }
 
-/// Loads `program` into instruction storage + TDM and resets `state`.
-/// (TIM is modelled as pre-decoded instruction rows — see simulator
-/// classes; self-modifying code is out of scope and documented as such.)
-inline void load_data(const isa::Program& program, ArchState& state) {
+/// Rejects a program that would load as a different one: an entry or data
+/// word outside the 9-trit range, or more instructions than the TIM has
+/// rows (the excess would wrap onto the first rows).
+inline void check_t9_program(const isa::Program& program) {
   check_t9_address(program.entry, "entry");
-  for (const isa::DataWord& d : program.data) {
-    check_t9_address(d.address, "data-word");
-    state.tdm.poke(d.address, d.value);
+  if (program.code.size() > static_cast<std::size_t>(TernaryMemory::kRows)) {
+    throw SimError("art9 program of " + std::to_string(program.code.size()) +
+                   " instructions exceeds the " + std::to_string(TernaryMemory::kRows) +
+                   "-row TIM");
   }
+  for (const isa::DataWord& d : program.data) check_t9_address(d.address, "data-word");
+}
+
+/// The index into `program.code` of TIM row `row`: code fills the rows
+/// from `entry_row` on, wrapping mod 3^9.  An index past the code is a
+/// row that holds none.
+[[nodiscard]] inline std::size_t code_index(std::size_t row, std::size_t entry_row) noexcept {
+  constexpr auto kRows = static_cast<std::size_t>(TernaryMemory::kRows);
+  return (row + kRows - entry_row) % kRows;
+}
+
+/// Loads `program` into the TDM and resets `state`.  (The TIM is each
+/// simulator's own; self-modifying code is out of scope by design.)
+inline void load_data(const isa::Program& program, ArchState& state) {
+  check_t9_program(program);
+  for (const isa::DataWord& d : program.data) state.tdm.poke(d.address, d.value);
   state.pc = program.entry;
 }
 

@@ -1,7 +1,8 @@
 // The packed ART-9 semantics, written once: every data-processing cell of
 // the ISA on binary-coded-ternary plane pairs (the packed mirror of
-// sim::execute(const DecodedOp&, ...)), the LOAD/STORE and JALR address
-// cells, and the one-instruction step built on them.
+// sim::execute(const PackedOp&, ...), reading the row's planes where the
+// reference TALU reads its Word9), the LOAD/STORE and JALR address cells,
+// and the one-instruction step built on them.
 //
 // Users:
 //  * packed_step() — SuperblockSimulator::step() on its packed TRF/TDM
@@ -148,10 +149,10 @@ template <class Op>
   return ternary::packed::wrap(ternary::packed::to_int(base) + imm);
 }
 
-/// Executes the instruction at `row` of the packed TIM on `m` and advances
-/// `row` to its successor.  Returns false when the HALT convention (a
-/// self-jump) executes — `row` then rests on it; throws SimError on an
-/// uninitialised row.  `Machine` is the register/TDM accessor of one
+/// Executes the instruction at `row` of the image's rows on `m` and
+/// advances `row` to its successor.  Returns false when the HALT
+/// convention (a self-jump) executes — `row` then rests on it; throws
+/// SimError on an uninitialised row.  `Machine` is the register/TDM accessor of one
 /// packed machine:
 ///
 ///   ternary::BctWord9 reg(unsigned r) const;        // TRF[r]

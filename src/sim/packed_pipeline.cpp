@@ -7,11 +7,6 @@ namespace detail {
 
 using Word = PackedPipelineDatapath::Word;
 
-Word PackedPipelineDatapath::alu(const DecodedOp& dop, const Word& a, const Word& b) const {
-  const PackedOp& op = packed(dop);
-  return packed_alu(op.kind, a, b, op);
-}
-
 ArchState PackedPipelineDatapath::unpack_state() const {
   ArchState out;
   for (int i = 0; i < isa::kNumRegisters; ++i) {

@@ -5,7 +5,8 @@
 // a datapath whose every latched payload is a ternary::BctWord9 plane
 // pair: a packed TRF (nine plane-pair words), a packed TDM
 // (sim::PackedMemory rows, identical access accounting) and the image's
-// 24-byte PackedOp rows supplying pre-packed immediates and link words.
+// rows supplying pre-packed immediates and link words (their `word()`
+// planes — the reference datapath reads the same rows' Word9).
 // The forwarding muxes, the one-trit condition bypass and the EX TALU
 // (packed_alu.hpp, the cells the superblock tier and the fleet run) all
 // operate on planes — no std::array<Trit, 9> is touched between reset and
@@ -40,8 +41,7 @@ class PackedPipelineDatapath {
  public:
   using Word = ternary::BctWord9;
 
-  explicit PackedPipelineDatapath(const DecodedImage& image)
-      : rows_(&image.row(0)), prows_(image.packed_rows()) {
+  explicit PackedPipelineDatapath(const DecodedImage& image) {
     for (const isa::DataWord& d : image.program().data) {
       tdm_.poke(d.address, ternary::BctWord9::encode(d.value));
     }
@@ -70,11 +70,13 @@ class PackedPipelineDatapath {
 
   /// EX evaluations on planes: the packed TALU, branchless wrapped address
   /// adds, the pre-packed link word, and the JALR target calculator.
-  [[nodiscard]] Word alu(const DecodedOp& op, const Word& a, const Word& b) const;
+  [[nodiscard]] static Word alu(const PackedOp& op, const Word& a, const Word& b) {
+    return packed_alu(op.kind, a, b, op);
+  }
   [[nodiscard]] static Word addr_word(const Word& base, int imm) noexcept {
     return ternary::packed::add_int(base, imm);
   }
-  [[nodiscard]] Word link(const DecodedOp& op) const noexcept { return packed(op).word(); }
+  [[nodiscard]] static Word link(const PackedOp& op) noexcept { return op.word(); }
   [[nodiscard]] static int64_t jalr_target(const Word& base, int imm) noexcept {
     return packed_jalr_target(base, imm);
   }
@@ -95,14 +97,6 @@ class PackedPipelineDatapath {
   }
 
  private:
-  /// The packed TIM row of a decoded row: the two tables are parallel, so
-  /// the row index is plain pointer arithmetic.
-  [[nodiscard]] const PackedOp& packed(const DecodedOp& op) const noexcept {
-    return prows_[static_cast<std::size_t>(&op - rows_)];
-  }
-
-  const DecodedOp* rows_;   // the image's reference TIM base
-  const PackedOp* prows_;   // the image's packed TIM base (built on first use)
   std::array<Word, isa::kNumRegisters> trf_{};
   PackedMemory tdm_;
   int64_t pc_ = 0;

@@ -70,14 +70,14 @@ class ReferencePipelineDatapath {
   [[nodiscard]] static int lst(const Word& w) noexcept { return w.lst().value(); }
 
   /// EX evaluations: the pre-decoded TALU, wrapped address adds, the
-  /// precomputed link word, and the JALR target calculator.
-  [[nodiscard]] static Word alu(const DecodedOp& op, const Word& a, const Word& b) {
+  /// row's link word in trits, and the JALR target calculator.
+  [[nodiscard]] static Word alu(const PackedOp& op, const Word& a, const Word& b) {
     return execute(op, a, b);
   }
   [[nodiscard]] static Word addr_word(const Word& base, int imm) {
     return Word::from_int_wrapped(base.to_int() + imm);
   }
-  [[nodiscard]] static Word link(const DecodedOp& op) noexcept { return op.link; }
+  [[nodiscard]] static Word link(const PackedOp& op) noexcept { return op.word9; }
   [[nodiscard]] static int64_t jalr_target(const Word& base, int imm) {
     return ArchState::wrap(base.to_int() + imm);
   }

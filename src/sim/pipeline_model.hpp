@@ -22,11 +22,11 @@
 // instruction observer streams on every PipelineConfig combination —
 // locked by tests/sim/packed_pipeline_test.cpp and trace_golden_test.cpp.
 //
-// Latches carry `const DecodedOp*` into the immutable DecodedImage rather
-// than Instruction copies, so stage advance is pointer moves, static
-// control-flow targets come precomputed (taken_pc/next_pc/link), and the
-// EX stage executes through the pre-decoded TALU overload — no immediate
-// re-encoding per cycle on either datapath.
+// Latches carry `const PackedOp*` into the immutable DecodedImage's rows
+// rather than Instruction copies, so stage advance is pointer moves,
+// static control-flow targets come precomputed (taken_pc/next_pc), and
+// each datapath reads the row's operand word in its own encoding — no
+// immediate re-encoding per cycle on either datapath.
 #pragma once
 
 #include <cstdint>
@@ -147,41 +147,40 @@ class PipelineModel {
     bool valid = false;
     bool poisoned = false;  // fetched from uninitialised TIM (wrong path)
     bool predicted_taken = false;  // static prediction applied at fetch
-    const DecodedOp* op = nullptr;
+    const PackedOp* op = nullptr;
   };
   struct IdEx {
     bool valid = false;
     bool is_halt = false;  // recognised halt convention; performs no writes
-    const DecodedOp* op = nullptr;
+    // Writes a TRF register on retire, decoded in ID like a RegWrite
+    // signal.  kHalt never does; a *dynamic* JALR halt still counts for
+    // hazards and forwarding, as the HDU sees only the opcode fields.
+    bool writes = false;
+    const PackedOp* op = nullptr;
     Word a{};  // TRF[Ta] as read in ID
     Word b{};  // TRF[Tb] as read in ID
   };
   struct ExMem {
     bool valid = false;
     bool is_halt = false;
-    const DecodedOp* op = nullptr;
+    bool writes = false;
+    const PackedOp* op = nullptr;
     Word result{};     // ALU result / link value / memory address
     Word store_val{};  // STORE data
   };
   struct MemWb {
     bool valid = false;
     bool is_halt = false;
-    const DecodedOp* op = nullptr;
+    bool writes = false;
+    const PackedOp* op = nullptr;
     Word result{};  // value for the TRF write port
   };
 
-  /// True if the latched instruction writes a TRF register when it retires.
-  /// The statically-folded halt (kHalt) never does; a *dynamic* JALR halt
-  /// still counts as a writer for hazard/forwarding purposes until its
-  /// is_halt latch bit suppresses the retire — matching the hardware,
-  /// where the HDU sees only the opcode fields.
-  [[nodiscard]] static bool writes_reg(const DecodedOp* op) {
-    return op->writes_ta && op->kind != DispatchKind::kHalt;
-  }
-  [[nodiscard]] static int64_t pc_of(const DecodedOp* op) { return op ? op->pc : 0; }
-  [[nodiscard]] static const isa::Instruction& inst_of(const DecodedOp* op) {
+  [[nodiscard]] static int64_t pc_of(const PackedOp* op) { return op ? op->pc : 0; }
+  /// The source instruction of a latched row (traces, the retire hook).
+  [[nodiscard]] const isa::Instruction& inst_of(const PackedOp* op) const {
     static const isa::Instruction kEmpty{};
-    return op ? op->inst : kEmpty;
+    return op ? image_->instruction(DecodedImage::row_of(op->pc)) : kEmpty;
   }
 
   /// checkpoint()'s drain: squashes the unissued IF/ID entry, stops
@@ -254,12 +253,14 @@ bool PipelineModel<Datapath>::step() {
       halt_pc_ = memwb_.op->pc;
     } else {
       ++stats_.instructions;
-      if (retire_observer_) retire_observer_(memwb_.op->inst, memwb_.op->pc, stats_.instructions - 1);
-      if (writes_reg(memwb_.op)) {
+      if (retire_observer_) {
+        retire_observer_(inst_of(memwb_.op), memwb_.op->pc, stats_.instructions - 1);
+      }
+      if (memwb_.writes) {
         if (config_.regfile_write_through) {
-          dp_.write_reg(memwb_.op->inst.ta, memwb_.result);
+          dp_.write_reg(memwb_.op->ta, memwb_.result);
         } else {
-          pending_write = {true, memwb_.op->inst.ta, memwb_.result};
+          pending_write = {true, memwb_.op->ta, memwb_.result};
         }
       }
     }
@@ -270,6 +271,7 @@ bool PipelineModel<Datapath>::step() {
   if (exmem_.valid) {
     memwb_next.valid = true;
     memwb_next.is_halt = exmem_.is_halt;
+    memwb_next.writes = exmem_.writes;
     memwb_next.op = exmem_.op;
     if (exmem_.op->kind == DispatchKind::kLoad) {
       memwb_next.result = dp_.mem_load(exmem_.result);
@@ -286,11 +288,11 @@ bool PipelineModel<Datapath>::step() {
   // one-cycle interlock when write-through is disabled).
   auto forward_operand = [&](int reg, const Word& id_read) -> Word {
     if (config_.ex_forwarding) {
-      if (exmem_.valid && writes_reg(exmem_.op) && exmem_.op->inst.ta == reg &&
+      if (exmem_.valid && exmem_.writes && exmem_.op->ta == reg &&
           exmem_.op->kind != DispatchKind::kLoad) {
         return exmem_.result;
       }
-      if (memwb_.valid && writes_reg(memwb_.op) && memwb_.op->inst.ta == reg) {
+      if (memwb_.valid && memwb_.writes && memwb_.op->ta == reg) {
         return memwb_.result;
       }
     }
@@ -306,18 +308,19 @@ bool PipelineModel<Datapath>::step() {
   Word ex_value{};
   int ex_value_rd = -1;
   if (idex_.valid) {
-    const DecodedOp& op = *idex_.op;
-    const isa::OpcodeSpec& s = isa::spec(op.inst.op);
-    const Word a = s.reads_ta ? forward_operand(op.inst.ta, idex_.a) : idex_.a;
-    const Word b = s.reads_tb ? forward_operand(op.inst.tb, idex_.b) : idex_.b;
+    const PackedOp& op = *idex_.op;
+    const isa::OpcodeSpec& s = isa::spec(opcode_of(op.kind));
+    const Word a = s.reads_ta ? forward_operand(op.ta, idex_.a) : idex_.a;
+    const Word b = s.reads_tb ? forward_operand(op.tb, idex_.b) : idex_.b;
 
     exmem_next.valid = true;
     exmem_next.is_halt = idex_.is_halt;
+    exmem_next.writes = idex_.writes;
     exmem_next.op = idex_.op;
     switch (op.kind) {
       case DispatchKind::kLoad:
       case DispatchKind::kStore:
-        exmem_next.result = dp_.addr_word(b, op.inst.imm);
+        exmem_next.result = dp_.addr_word(b, op.imm);
         exmem_next.store_val = a;
         break;
       case DispatchKind::kHalt:
@@ -332,7 +335,7 @@ bool PipelineModel<Datapath>::step() {
             ex_redirect = true;
             ex_redirect_target = op.taken_pc;
           } else {
-            const int64_t target = dp_.jalr_target(b, op.inst.imm);
+            const int64_t target = dp_.jalr_target(b, op.imm);
             if (target == op.pc) {
               ex_sees_halt = true;
               exmem_next.is_halt = true;
@@ -346,7 +349,7 @@ bool PipelineModel<Datapath>::step() {
       case DispatchKind::kBeq:
       case DispatchKind::kBne:
         if (!config_.branch_in_id) {
-          const bool eq = Datapath::lst(b) == op.inst.bcond.value();
+          const bool eq = Datapath::lst(b) == op.bcond;
           const bool taken = op.kind == DispatchKind::kBeq ? eq : !eq;
           if (taken) {
             ex_redirect = true;
@@ -358,10 +361,10 @@ bool PipelineModel<Datapath>::step() {
         exmem_next.result = dp_.alu(op, a, b);
         break;
     }
-    if (writes_reg(idex_.op) && op.kind != DispatchKind::kLoad && !exmem_next.is_halt) {
+    if (idex_.writes && op.kind != DispatchKind::kLoad && !exmem_next.is_halt) {
       ex_value_ready = true;
       ex_value = exmem_next.result;
-      ex_value_rd = op.inst.ta;
+      ex_value_rd = op.ta;
     }
   }
 
@@ -377,25 +380,25 @@ bool PipelineModel<Datapath>::step() {
   // EX-resolved redirect may still kill it); checked after the IF section.
   const bool poison_pending = ifid_.valid && ifid_.poisoned;
   if (ifid_.valid && !ifid_.poisoned) {
-    const DecodedOp& op = *ifid_.op;
-    const isa::OpcodeSpec& s = isa::spec(op.inst.op);
+    const PackedOp& op = *ifid_.op;
+    const isa::OpcodeSpec& s = isa::spec(opcode_of(op.kind));
 
     // Is `reg` produced by an instruction still in flight (for stall
     // decisions)?  `allow_exmem`/`allow_memwb` say whether a forwarding
     // path can cover that distance for this consumer.
     auto in_flight_hazard = [&](int reg, bool allow_ex_fwd, bool allow_exmem_fwd,
                                 bool allow_memwb_fwd) -> bool {
-      if (idex_.valid && writes_reg(idex_.op) && idex_.op->inst.ta == reg) {
+      if (idex_.valid && idex_.writes && idex_.op->ta == reg) {
         if (idex_.op->kind == DispatchKind::kLoad) return true;  // data not ready before MEM
         if (!allow_ex_fwd) return true;
       }
-      if (exmem_.valid && writes_reg(exmem_.op) && exmem_.op->inst.ta == reg) {
+      if (exmem_.valid && exmem_.writes && exmem_.op->ta == reg) {
         // A load's data is being read from the TDM this very cycle; an ID
         // consumer cannot see it until it lands in MEM/WB.
         if (exmem_.op->kind == DispatchKind::kLoad) return true;
         if (!allow_exmem_fwd) return true;
       }
-      if (memwb_.valid && writes_reg(memwb_.op) && memwb_.op->inst.ta == reg) {
+      if (memwb_.valid && memwb_.writes && memwb_.op->ta == reg) {
         // With write-through, WB already updated the TRF this cycle.
         if (!config_.regfile_write_through && !allow_memwb_fwd) return true;
       }
@@ -410,16 +413,16 @@ bool PipelineModel<Datapath>::step() {
     if (config_.ex_forwarding) {
       // Only load-use distance-1 stalls remain.
       auto load_use = [&](int reg) {
-        return idex_.valid && idex_.op->kind == DispatchKind::kLoad && idex_.op->inst.ta == reg;
+        return idex_.valid && idex_.op->kind == DispatchKind::kLoad && idex_.op->ta == reg;
       };
-      if ((needs_a_in_ex && load_use(op.inst.ta)) || (needs_b_in_ex && load_use(op.inst.tb))) {
+      if ((needs_a_in_ex && load_use(op.ta)) || (needs_b_in_ex && load_use(op.tb))) {
         stall = true;
         stall_counter = &stats_.stall_load_use;
         stall_kind = CycleEvent::kLoadUseStall;
       }
     } else {
-      if ((needs_a_in_ex && in_flight_hazard(op.inst.ta, false, false, false)) ||
-          (needs_b_in_ex && in_flight_hazard(op.inst.tb, false, false, false))) {
+      if ((needs_a_in_ex && in_flight_hazard(op.ta, false, false, false)) ||
+          (needs_b_in_ex && in_flight_hazard(op.tb, false, false, false))) {
         stall = true;
         stall_counter = &stats_.stall_raw;
         stall_kind = CycleEvent::kRawStall;
@@ -429,9 +432,9 @@ bool PipelineModel<Datapath>::step() {
     // writing the TRF this very cycle: the stale ID read must retry.
     if (!stall && !config_.regfile_write_through) {
       auto wb_now = [&](int reg) {
-        return memwb_.valid && writes_reg(memwb_.op) && memwb_.op->inst.ta == reg;
+        return memwb_.valid && memwb_.writes && memwb_.op->ta == reg;
       };
-      if ((needs_a_in_ex && wb_now(op.inst.ta)) || (needs_b_in_ex && wb_now(op.inst.tb))) {
+      if ((needs_a_in_ex && wb_now(op.ta)) || (needs_b_in_ex && wb_now(op.tb))) {
         stall = true;
         stall_counter = &stats_.stall_raw;
         stall_kind = CycleEvent::kRawStall;
@@ -447,22 +450,22 @@ bool PipelineModel<Datapath>::step() {
       const bool allow_ex_fwd = config_.id_forwarding && !is_jalr;
       const bool allow_exmem_fwd = config_.id_forwarding;
       const bool allow_memwb_fwd = config_.id_forwarding;
-      if (in_flight_hazard(op.inst.tb, allow_ex_fwd, allow_exmem_fwd, allow_memwb_fwd)) {
+      if (in_flight_hazard(op.tb, allow_ex_fwd, allow_exmem_fwd, allow_memwb_fwd)) {
         stall = true;
         stall_counter = &stats_.stall_branch_hazard;
         stall_kind = CycleEvent::kBranchHazardStall;
       } else {
         // Resolve the value through the allowed paths, newest first.
-        if (allow_ex_fwd && ex_value_ready && ex_value_rd == op.inst.tb) {
+        if (allow_ex_fwd && ex_value_ready && ex_value_rd == op.tb) {
           id_b_value = ex_value;
-        } else if (config_.id_forwarding && exmem_.valid && writes_reg(exmem_.op) &&
-                   exmem_.op->inst.ta == op.inst.tb && exmem_.op->kind != DispatchKind::kLoad) {
+        } else if (config_.id_forwarding && exmem_.valid && exmem_.writes &&
+                   exmem_.op->ta == op.tb && exmem_.op->kind != DispatchKind::kLoad) {
           id_b_value = exmem_.result;
         } else if (!config_.regfile_write_through && config_.id_forwarding && memwb_.valid &&
-                   writes_reg(memwb_.op) && memwb_.op->inst.ta == op.inst.tb) {
+                   memwb_.writes && memwb_.op->ta == op.tb) {
           id_b_value = memwb_.result;
         } else {
-          id_b_value = dp_.read_reg(op.inst.tb);
+          id_b_value = dp_.read_reg(op.tb);
         }
       }
     }
@@ -477,7 +480,7 @@ bool PipelineModel<Datapath>::step() {
         switch (op.kind) {
           case DispatchKind::kBeq:
           case DispatchKind::kBne: {
-            const bool eq = Datapath::lst(id_b_value) == op.inst.bcond.value();
+            const bool eq = Datapath::lst(id_b_value) == op.bcond;
             const bool taken = op.kind == DispatchKind::kBeq ? eq : !eq;
             if (taken != ifid_.predicted_taken) {
               id_redirect = true;
@@ -497,7 +500,7 @@ bool PipelineModel<Datapath>::step() {
             }
             break;
           case DispatchKind::kJalr: {
-            const int64_t target = dp_.jalr_target(id_b_value, op.inst.imm);
+            const int64_t target = dp_.jalr_target(id_b_value, op.imm);
             if (target == op.pc) {
               id_sees_halt = true;
             } else {
@@ -512,9 +515,10 @@ bool PipelineModel<Datapath>::step() {
       }
       idex_next.valid = true;
       idex_next.is_halt = id_sees_halt;
+      idex_next.writes = s.writes_ta && op.kind != DispatchKind::kHalt;
       idex_next.op = ifid_.op;
-      idex_next.a = dp_.read_reg(op.inst.ta);
-      idex_next.b = dp_.read_reg(op.inst.tb);
+      idex_next.a = dp_.read_reg(op.ta);
+      idex_next.b = dp_.read_reg(op.tb);
     }
   }
 
@@ -541,7 +545,7 @@ bool PipelineModel<Datapath>::step() {
       pc_next = id_redirect_target;
       ++stats_.flush_taken_branch;
     } else if (!fetch_stopped_) {
-      const DecodedOp& fetched = image_->fetch(dp_.pc());
+      const PackedOp& fetched = image_->fetch(dp_.pc());
       const bool ok = fetched.kind != DispatchKind::kInvalid;
       ifid_next.valid = true;
       ifid_next.poisoned = !ok;
@@ -554,7 +558,7 @@ bool PipelineModel<Datapath>::step() {
       if (config_.static_prediction && config_.branch_in_id && ok) {
         const bool backward_branch =
             (fetched.kind == DispatchKind::kBeq || fetched.kind == DispatchKind::kBne) &&
-            fetched.inst.imm < 0;
+            fetched.imm < 0;
         const bool direct_jump = fetched.kind == DispatchKind::kJal;
         if (backward_branch || direct_jump) {
           ifid_next.predicted_taken = true;

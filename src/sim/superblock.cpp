@@ -27,7 +27,7 @@ static_assert(static_cast<uint8_t>(SuperOpKind::kMv) == static_cast<uint8_t>(Dis
               "SuperOpKind must mirror DispatchKind's data-processing kinds");
 
 /// Copies the operand fields a body/terminator slot shares with its
-/// source packed row.
+/// source row.
 [[nodiscard]] SuperOp from_packed(const PackedOp& p, uint32_t row) noexcept {
   SuperOp s;
   s.word_neg = p.word_neg;
@@ -185,8 +185,7 @@ static_assert(static_cast<uint8_t>(SuperOpKind::kMv) == static_cast<uint8_t>(Dis
 }  // namespace
 
 const SuperblockPlan& DecodedImage::superblocks() const {
-  std::call_once(superblocks_once_,
-                 [this] { superblocks_ = build_plan(packed_rows(), rows()); });
+  std::call_once(superblocks_once_, [this] { superblocks_ = build_plan(rows_data(), rows()); });
   return *superblocks_;
 }
 
@@ -198,7 +197,7 @@ SuperblockSimulator::SuperblockSimulator(const isa::Program& program)
     : SuperblockSimulator(decode(program)) {}
 
 SuperblockSimulator::SuperblockSimulator(std::shared_ptr<const DecodedImage> image)
-    : image_(std::move(image)), prows_(image_->packed_rows()), plan_(&image_->superblocks()) {
+    : image_(std::move(image)), rows_(image_->rows_data()), plan_(&image_->superblocks()) {
   for (const isa::DataWord& d : image_->program().data) {
     tdm_.poke(d.address, BctWord9::encode(d.value));
   }
@@ -216,7 +215,7 @@ bool SuperblockSimulator::step() {
     void load(unsigned r, std::size_t row) { trf[r] = tdm.read_row(row); }
     void store(std::size_t row, unsigned r) { tdm.write_row(row, trf[r]); }
   };
-  return packed_step(Machine{trf_.data(), tdm_}, prows_, row_);
+  return packed_step(Machine{trf_.data(), tdm_}, rows_, row_);
 }
 
 SimStats SuperblockSimulator::run(uint64_t max_instructions) {

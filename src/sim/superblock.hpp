@@ -2,11 +2,11 @@
 // (EngineKind::kSuperblock, and kPacked under its historical name).
 //
 // State is the plane-packed SWAR datapath: a packed TRF (nine BctWord9),
-// a packed TDM (sim::PackedMemory) and the image's 24-byte PackedOp rows
-// with pre-packed immediates and links.  An instruction-at-a-time loop
-// over those rows would still pay per *instruction*: one budget check,
-// one row chase, one retire increment and (for memory ops) one counter
-// bump per step.  The superblock tier translates the decoded image once
+// a packed TDM (sim::PackedMemory) and the image's dispatch rows, read
+// through their pre-packed immediate and link planes.  An instruction-at-
+// a-time loop over those rows would still pay per *instruction*: one
+// budget check, one row chase, one retire increment and (for memory ops)
+// one counter bump per step.  The superblock tier translates the decoded image once
 // more, at load time, into straight-line superblocks (the move libriscv
 // makes in decode_bytecodes.cpp / threaded_bytecodes.hpp):
 //
@@ -34,8 +34,8 @@
 // tiny-budget contract bit-identical to the golden model.
 //
 // The plan is built lazily and thread-safely off the shared image
-// (DecodedImage::superblocks(), same pattern as the packed-op table), so
-// any number of SuperblockSimulator instances share one translation.
+// (DecodedImage::superblocks()), so any number of SuperblockSimulator
+// instances share one translation.
 #pragma once
 
 #include <array>
@@ -176,7 +176,7 @@ class SuperblockSimulator {
 
   /// Row and PC are in bijection (every row carries its balanced
   /// address), so the fetch row is the single source of truth.
-  [[nodiscard]] int64_t pc() const noexcept { return prows_[row_].pc; }
+  [[nodiscard]] int64_t pc() const noexcept { return rows_[row_].pc; }
 
   /// The pre-decoded image this simulator executes.
   [[nodiscard]] const DecodedImage& image() const noexcept { return *image_; }
@@ -208,7 +208,7 @@ class SuperblockSimulator {
   uint64_t run_blocks(uint64_t max_instructions, bool& halted);
 
   std::shared_ptr<const DecodedImage> image_;
-  const PackedOp* prows_;        // packed TIM (slow path / pc recovery)
+  const PackedOp* rows_;         // the image's row table (slow path / pc recovery)
   const SuperblockPlan* plan_;   // the image's block translation
   std::array<ternary::BctWord9, isa::kNumRegisters> trf_{};
   PackedMemory tdm_;

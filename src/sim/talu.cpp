@@ -1,6 +1,7 @@
 #include "sim/talu.hpp"
 
 #include <stdexcept>
+#include <string>
 
 namespace art9::sim {
 
@@ -68,7 +69,7 @@ Word9 execute(const Instruction& inst, const Word9& a, const Word9& b) {
   }
 }
 
-Word9 execute(const DecodedOp& op, const Word9& a, const Word9& b) {
+Word9 execute(const PackedOp& op, const Word9& a, const Word9& b) {
   switch (op.kind) {
     case DispatchKind::kMv:
       return b;
@@ -95,23 +96,23 @@ Word9 execute(const DecodedOp& op, const Word9& a, const Word9& b) {
     case DispatchKind::kComp:
       return comp_result(a, b);
     case DispatchKind::kAndi:
-      return ternary::tand(a, op.imm_word);
+      return ternary::tand(a, op.word9);
     case DispatchKind::kAddi:
-      return a + op.imm_word;
+      return a + op.word9;
     case DispatchKind::kSri:
-      return a.shr(static_cast<std::size_t>(op.inst.imm));
+      return a.shr(static_cast<std::size_t>(op.imm));
     case DispatchKind::kSli:
-      return a.shl(static_cast<std::size_t>(op.inst.imm));
+      return a.shl(static_cast<std::size_t>(op.imm));
     case DispatchKind::kLui:
-      return op.imm_word;  // the complete result, pre-built at decode
+      return op.word9;  // the complete result, pre-built at decode
     case DispatchKind::kLi: {
-      Word9 out = op.imm_word;  // imm5 in [4:0], zeros above
+      Word9 out = op.word9;  // imm5 in [4:0], zeros above
       for (std::size_t i = 5; i < ternary::Word9::kTrits; ++i) out.set(i, a[i]);
       return out;
     }
     default:
-      throw std::logic_error("TALU: kind has no data-processing result: " +
-                             std::string(isa::mnemonic(op.inst.op)));
+      throw std::logic_error("TALU: kind has no data-processing result: kind " +
+                             std::to_string(static_cast<int>(op.kind)));
   }
 }
 

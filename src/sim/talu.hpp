@@ -32,9 +32,9 @@ namespace art9::sim {
                                      const ternary::Word9& b);
 
 /// Pre-decoded variant for the dispatch fast path: identical semantics to
-/// the Instruction overload, but immediate operands come pre-encoded from
-/// the DecodedImage (`op.imm_word`), so no `Word9::from_int` runs per step.
-[[nodiscard]] ternary::Word9 execute(const DecodedOp& op, const ternary::Word9& a,
+/// the Instruction overload, but immediate operands come pre-encoded in
+/// the image's row (`op.word9`), so no `Word9::from_int` runs per step.
+[[nodiscard]] ternary::Word9 execute(const PackedOp& op, const ternary::Word9& a,
                                      const ternary::Word9& b);
 
 }  // namespace art9::sim

@@ -118,6 +118,32 @@ TEST(AsmDialect, ZeroReservesWithoutMaterialisingWords) {
   EXPECT_NO_THROW((void)isa::assemble(".data\n.org -9841\n.zero 19683\n"));
 }
 
+TEST(AsmDialect, MisplacedStatementsFailInLineOrder) {
+  // Regression: pass 1 raised a misplaced statement (an unknown directive,
+  // .word/.zero outside .data, an instruction inside it) before pass 2
+  // reached an earlier line's error, so a later line was reported first.
+  const auto line_of = [](auto assemble, const char* source) {
+    try {
+      static_cast<void>(assemble(source));
+    } catch (const AsmError& e) {
+      return e.line();
+    }
+    return 0;
+  };
+  const auto art9 = [](const char* s) { return isa::assemble(s); };
+  const auto rv32 = [](const char* s) { return rv32::assemble_rv32(s); };
+  EXPECT_EQ(line_of(art9, "BOGUS T1\n.data\nNOP\n"), 1);
+  EXPECT_EQ(line_of(art9, "ADD T1, T9\n.word 3\n"), 1);
+  EXPECT_EQ(line_of(art9, "NOP 1\n.bogus\n"), 1);
+  EXPECT_EQ(line_of(rv32, "bogus x1\n.data\naddi x1, x1, 1\n"), 1);
+  EXPECT_EQ(line_of(rv32, "addi x1, x99, 1\n.zero 2\n"), 1);
+  // Alone, each still fails at its own line.
+  EXPECT_EQ(line_of(art9, "NOP\n.data\nNOP\n"), 3);
+  EXPECT_EQ(line_of(art9, "NOP\n.word 3\n"), 2);
+  EXPECT_EQ(line_of(rv32, "nop\n.bogus 1\nnop\n"), 2);
+  EXPECT_EQ(line_of(rv32, "nop\n.zero 2\n"), 2);
+}
+
 TEST(AsmDialect, NestingIsCappedNotRecursedToTheEnd) {
   const auto nested = [](int depth, const std::string& open, const std::string& close) {
     std::string text = ".equ K, ";

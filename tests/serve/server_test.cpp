@@ -214,6 +214,23 @@ TEST(SimulationServerRoutes, TranslatedDataOutsideTheTritRangeIsABadSource) {
       << response.body;
 }
 
+TEST(SimulationServerRoutes, ProgramLongerThanTheTimIsABadSource) {
+  // 19,685 instructions: the last two used to wrap onto the first two TIM
+  // rows, and the image loaded (201) as a different, one-instruction
+  // program.
+  std::string source = "ADDI T1, 5\n";
+  for (int i = 0; i < 19682; ++i) source += "NOP\n";
+  source += "ADDI T1, 2\nHALT\n";
+  SimulationServer server;
+  const HttpResponse response = server.handle(make_request("POST", "/v1/images", source));
+  EXPECT_EQ(response.status, 400) << response.body;
+  const json::JsonValue body = body_of(response);
+  EXPECT_EQ(body.get_string("error", ""), "bad_source");
+  EXPECT_NE(body.get_string("message", "").find("19685 instructions exceeds the 19683-row TIM"),
+            std::string::npos)
+      << response.body;
+}
+
 TEST(SimulationServerRoutes, AdmissionRejectsAreStructuredAndCounted) {
   SimulationServer::Options options;
   options.service_threads = 1;

@@ -444,7 +444,7 @@ TEST_P(EngineConformance, ObserverSeesEveryRetiredInstruction) {
     EXPECT_EQ(stream[i].index, i);
     // The stream is the executed path: each pc must hold the instruction
     // the observer reported.
-    EXPECT_EQ(isa::to_string(image->fetch(stream[i].pc).inst),
+    EXPECT_EQ(isa::to_string(image->instruction(DecodedImage::row_of(stream[i].pc))),
               isa::to_string(stream[i].art9()));
   }
   // First retired instruction is the entry instruction.
@@ -618,9 +618,9 @@ TEST_P(Rv32EngineConformance, StepLoopMatchesRun) {
 // --- the retired-instruction observer ----------------------------------------
 
 TEST_P(Rv32EngineConformance, ObserverSeesEveryRetiredInstruction) {
-  // The rv32 stream keeps the LazyRv32Simulator::Observer convention:
-  // the halting ECALL/EBREAK is observed (the baseline cycle models need
-  // it), so a halted run streams instructions + 1 events.
+  // The facade's rv32 stream follows the seed loop's observer: the
+  // halting ECALL/EBREAK is streamed (the baseline cycle models need it),
+  // so a halted run streams instructions + 1 events.
   const std::shared_ptr<const rv32::Rv32DecodedImage> image =
       rv32::decode(rv32::assemble_rv32(rv32_opcode_corpus()[4]));  // JAL/JALR linkage
   std::unique_ptr<Engine> engine = make_engine(GetParam(), image);

@@ -3,7 +3,8 @@
 // against.  .t9 images carry arbitrary int64 addresses, so `row_of` must not
 // overflow while folding them and program load must reject out-of-range
 // entries/data words with a SimError naming the faulting address (mirrors
-// tests/rv32/rv32_sim_test.cpp's OutOfRangeAccessRaisesWithFaultingAddress).
+// tests/rv32/rv32_sim_test.cpp's OutOfRangeAccessRaisesWithFaultingAddress),
+// and a program with more instructions than the TIM has rows.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,6 +12,7 @@
 #include <string>
 
 #include "sim/decoded_image.hpp"
+#include "sim/engine.hpp"
 #include "sim/functional_sim.hpp"
 #include "sim/machine.hpp"
 #include "sim/memory.hpp"
@@ -97,6 +99,51 @@ TEST(MemoryBounds, InRangeProgramStillLoadsEverywhere) {
   FunctionalSimulator sim(program);
   EXPECT_EQ(sim.state().tdm.peek(-kMax).to_int(), 5);
   EXPECT_EQ(sim.state().pc, kMax);
+}
+
+/// `size` instructions from entry 0: `ADDI T1, 5`, NOPs, then `ADDI T1, 2`
+/// and HALT, so a run of the whole program leaves T1 = 7.
+isa::Program addi_program(std::size_t size) {
+  isa::Program program;
+  program.code.push_back(isa::Instruction{isa::Opcode::kAddi, 1, 0, ternary::kTritZ, 5});
+  program.code.resize(size - 2, isa::Instruction::nop());
+  program.code.push_back(isa::Instruction{isa::Opcode::kAddi, 1, 0, ternary::kTritZ, 2});
+  program.code.push_back(isa::Instruction::halt());
+  return program;
+}
+
+TEST(MemoryBounds, ProgramLongerThanTheTimIsRejectedNamingItsSize) {
+  // Regression: the last two instructions of a 19,685-instruction program
+  // wrapped onto the first two rows, so every ART-9 kind ran `ADDI T1, 2;
+  // HALT` (one instruction, T1 = 2) instead of the program as written.
+  const isa::Program program = addi_program(TernaryMemory::kRows + 2);
+  try {
+    static_cast<void>(decode(program));
+    FAIL() << "a program longer than the TIM must not decode";
+  } catch (const SimError& e) {
+    EXPECT_NE(std::string(e.what()).find("19685 instructions"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("19683-row TIM"), std::string::npos) << e.what();
+  }
+  for (EngineKind kind : art9_engine_kinds()) {
+    EXPECT_THROW(static_cast<void>(make_engine(kind, decode(program))), SimError)
+        << engine_kind_name(kind);
+  }
+  // The decode-on-fetch simulator loads from the program itself.
+  EXPECT_THROW(LazyFunctionalSimulator{program}, SimError);
+}
+
+TEST(MemoryBounds, ProgramFillingTheTimRunsOnEveryKind) {
+  // Exactly 3^9 instructions still load: the code wraps from +9841 to
+  // -9841 and runs, all of it, to its HALT at -1.
+  const std::shared_ptr<const DecodedImage> image =
+      decode(addi_program(TernaryMemory::kRows));
+  for (EngineKind kind : art9_engine_kinds()) {
+    const RunResult r = make_engine(kind, image)->run({});
+    EXPECT_EQ(r.halt, HaltReason::kHalted) << engine_kind_name(kind);
+    EXPECT_EQ(r.stats.instructions, static_cast<uint64_t>(TernaryMemory::kRows - 1))
+        << engine_kind_name(kind);
+    EXPECT_EQ(r.state.art9().trf.read(1).to_int(), 7) << engine_kind_name(kind);
+  }
 }
 
 }  // namespace
