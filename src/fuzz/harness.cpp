@@ -7,9 +7,11 @@
 #include <utility>
 
 #include "core/progen.hpp"
+#include "isa/encoding.hpp"
 #include "isa/instruction.hpp"
 #include "rv32/rv32_assembler.hpp"
 #include "sim/engine.hpp"
+#include "sim/functional_sim.hpp"
 #include "sim/snapshot.hpp"
 #include "xlat/framework.hpp"
 
@@ -146,6 +148,23 @@ std::optional<std::string> check_art9_functional_kinds(
   return std::nullopt;
 }
 
+/// Architectural comparison of two ART-9 boundary states: TRF, PC, and
+/// TDM contents row by row, access counters only when `counters`.
+std::optional<std::string> diff_arch(const sim::ArchState& g, const sim::ArchState& w,
+                                     bool counters) {
+  if (g.trf != w.trf) return "TRF mismatch";
+  if (g.pc != w.pc) return "PC " + std::to_string(g.pc) + " vs " + std::to_string(w.pc);
+  if (counters && (g.tdm.reads() != w.tdm.reads() || g.tdm.writes() != w.tdm.writes())) {
+    return "TDM counter mismatch";
+  }
+  for (std::size_t r = 0; r < static_cast<std::size_t>(sim::TernaryMemory::kRows); ++r) {
+    if (g.tdm.row(r) == w.tdm.row(r)) continue;
+    return "TDM mismatch at address " +
+           std::to_string(static_cast<int64_t>(r) - ternary::Word9::kMaxValue);
+  }
+  return std::nullopt;
+}
+
 /// Architectural comparison for a pipeline outcome against the lazy
 /// reference at halt: TRF, TDM contents, normalized PC, retire count and
 /// stream (cycle accounting and TDM access counters are the pipeline's
@@ -160,13 +179,7 @@ std::optional<std::string> diff_art9_pipeline(const Art9Outcome& got, const Art9
     return "retire count " + std::to_string(got.stats.instructions) + " vs " +
            std::to_string(want.stats.instructions);
   }
-  const sim::ArchState& g = got.boundary.art9();
-  const sim::ArchState& w = want.boundary.art9();
-  if (g.trf != w.trf) return "TRF mismatch";
-  if (g.pc != w.pc) return "PC " + std::to_string(g.pc) + " vs " + std::to_string(w.pc);
-  for (int64_t a = -ternary::Word9::kMaxValue; a <= ternary::Word9::kMaxValue; ++a) {
-    if (g.tdm.peek(a) != w.tdm.peek(a)) return "TDM mismatch at address " + std::to_string(a);
-  }
+  if (auto d = diff_arch(got.boundary.art9(), want.boundary.art9(), false)) return *d;
   return diff_streams(got.stream, want.stream);
 }
 
@@ -192,16 +205,9 @@ std::optional<std::string> check_art9_snapshot_leg(
   // Named local: checkpoint() returns by value, and `.art9()` on the
   // temporary would move the view out per call — bind the boundary once.
   const sim::MachineState resumed_boundary = resumed->checkpoint();
-  const sim::ArchState& g = resumed_boundary.art9();
-  const sim::ArchState& w = reference_at_halt.art9();
-  if (g.trf != w.trf) return "resumed TRF mismatch";
-  if (g.pc != w.pc) return "resumed PC mismatch";
   const bool counters = !sim::is_cycle_accurate(a) && !sim::is_cycle_accurate(b);
-  if (counters && g.tdm != w.tdm) return "resumed TDM (contents+counters) mismatch";
-  for (int64_t addr = -ternary::Word9::kMaxValue; addr <= ternary::Word9::kMaxValue; ++addr) {
-    if (g.tdm.peek(addr) != w.tdm.peek(addr)) {
-      return "resumed TDM mismatch at address " + std::to_string(addr);
-    }
+  if (auto d = diff_arch(resumed_boundary.art9(), reference_at_halt.art9(), counters)) {
+    return "resumed " + *d;
   }
   return std::nullopt;
 }
@@ -456,36 +462,109 @@ std::optional<std::string> check_xlat_case(ByteReader& in) {
 }
 
 // ===========================================================================
-// Mode 3 — raw instruction words: wild control flow, trap parity.
+// Modes 3 and 5 — instruction fields from the input bytes.
 // ===========================================================================
 
+/// One instruction from the input: opcode, Ta, Tb and condition bytes, then
+/// an immediate u16 for formats that have one, each folded into its
+/// encodable range — except field `wild` (0 opcode, 1 Ta, 2 Tb, 3
+/// condition, 4 immediate), taken raw: any opcode byte, any int8 register
+/// or condition, any int16 immediate (read for every format).
+isa::Instruction read_instruction(ByteReader& in, int wild) {
+  isa::Instruction inst;
+  const uint8_t op = in.u8();
+  inst.op = static_cast<isa::Opcode>(wild == 0 ? op : op % isa::kNumOpcodes);
+  const auto reg = [&](bool raw) {
+    const uint8_t b = in.u8();
+    return raw ? static_cast<int8_t>(b) : b % isa::kNumRegisters;
+  };
+  inst.ta = reg(wild == 1);
+  inst.tb = reg(wild == 2);
+  const uint8_t c = in.u8();
+  inst.bcond = ternary::Trit(wild == 3 ? static_cast<int8_t>(c) : static_cast<int>(c % 3) - 1);
+  if (wild == 4 || static_cast<int>(inst.op) >= isa::kNumOpcodes) {
+    inst.imm = static_cast<int16_t>(in.u16());
+    return inst;
+  }
+  const isa::OpcodeSpec& s = isa::spec(inst.op);
+  inst.imm = s.imm_min == s.imm_max ? s.imm_min
+                                    : fold(static_cast<int16_t>(in.u16()), s.imm_min, s.imm_max);
+  return inst;
+}
+
+/// The case tag of a generated program: its length, budget and code (an
+/// instruction with no encoding as field_violation renders it).
+std::string program_tag(const isa::Program& program, uint64_t budget) {
+  std::ostringstream tag;
+  tag << " (len=" << program.code.size() << " budget=" << budget << " code=[";
+  for (const isa::Instruction& inst : program.code) {
+    const std::optional<isa::FieldViolation> v = isa::field_violation(inst);
+    tag << " " << (v ? v->text : isa::to_string(inst)) << ";";
+  }
+  tag << " ])";
+  return tag.str();
+}
+
+/// Mode 3 — raw: 1..28 instructions with every field in range and wild
+/// control flow.  A jump onto an uninitialised TIM row traps, which is a
+/// legal outcome, but the functional kinds must match lazy at the
+/// budget, traps and their texts included.
 std::optional<std::string> check_raw_case(ByteReader& in) {
   const int length = 1 + in.u8() % 28;
   const uint64_t budget = 1 + in.u16() % 512;
   isa::Program program;
   program.entry = 0;
-  for (int i = 0; i < length; ++i) {
-    isa::Instruction inst;
-    inst.op = isa::all_opcodes()[in.u8() % isa::kNumOpcodes];
-    inst.ta = in.u8() % isa::kNumRegisters;
-    inst.tb = in.u8() % isa::kNumRegisters;
-    inst.bcond = ternary::Trit(static_cast<int>(in.u8() % 3) - 1);
-    const isa::OpcodeSpec& s = isa::spec(inst.op);
-    inst.imm = s.imm_min == s.imm_max
-                   ? s.imm_min
-                   : fold(static_cast<int16_t>(in.u16()), s.imm_min, s.imm_max);
-    program.code.push_back(inst);
-  }
+  for (int i = 0; i < length; ++i) program.code.push_back(read_instruction(in, -1));
 
-  std::ostringstream tag;
-  tag << "len=" << length << " budget=" << budget << " code=[";
-  for (const isa::Instruction& inst : program.code) tag << " " << isa::to_string(inst) << ";";
-  tag << " ]";
-
-  // Wild jumps land on uninitialised TIM rows: a *trap* is a legal
-  // outcome, but it must be byte-identical across the functional kinds.
   const std::shared_ptr<const sim::DecodedImage> image = sim::decode(program);
-  if (auto d = check_art9_functional_kinds(image, budget)) return *d + " (" + tag.str() + ")";
+  if (auto d = check_art9_functional_kinds(image, budget)) return *d + program_tag(program, budget);
+  return std::nullopt;
+}
+
+/// Mode 5 — api: 1..6 instructions, one field of 5 in 16 taken raw, as
+/// an isa::Program built in code can hold them, then HALT (so a program
+/// without wild control flow reaches the pipeline leg).  Every kind
+/// rejects the program at construction with one text (lazy loads the
+/// program, the others its decoded image), or runs it as lazy does: the
+/// functional kinds at the budget, the pipeline kinds at halt.
+std::optional<std::string> check_api_case(ByteReader& in) {
+  const int length = 1 + in.u8() % 6;
+  const uint64_t budget = 1 + in.u16() % 512;
+  isa::Program program;
+  program.entry = 0;
+  for (int i = 0; i < length; ++i) {
+    const int pick = in.u8() % 16;
+    program.code.push_back(read_instruction(in, pick < 5 ? pick : -1));
+  }
+  program.code.push_back(isa::Instruction::halt());
+  const std::string tag = program_tag(program, budget);
+
+  std::shared_ptr<const sim::DecodedImage> image;
+  std::string decode_error, lazy_error;
+  try {
+    image = sim::decode(program);
+  } catch (const std::exception& e) {
+    decode_error = e.what();
+  }
+  try {
+    sim::LazyFunctionalSimulator reference(program);
+  } catch (const std::exception& e) {
+    lazy_error = e.what();
+  }
+  if (decode_error != lazy_error) {
+    return "construction: decode \"" + decode_error + "\" vs lazy \"" + lazy_error + "\"" + tag;
+  }
+  if (!image) return std::nullopt;  // rejected alike by every kind
+
+  if (auto d = check_art9_functional_kinds(image, budget)) return *d + tag;
+  const Art9Outcome reference = run_art9(sim::EngineKind::kLazy, image, budget);
+  if (reference.threw || reference.stats.halt != sim::HaltReason::kHalted) return std::nullopt;
+  for (sim::EngineKind kind : sim::art9_engine_kinds()) {
+    if (!sim::is_cycle_accurate(kind)) continue;
+    if (auto d = diff_art9_pipeline(run_art9(kind, image, kCompletionBudget), reference)) {
+      return std::string(sim::engine_kind_name(kind)) + " vs lazy: " + *d + tag;
+    }
+  }
   return std::nullopt;
 }
 
@@ -678,7 +757,7 @@ FuzzResult run_fuzz_case(const uint8_t* data, std::size_t size) {
   ByteReader in(data, size);
   FuzzResult result;
   std::optional<std::string> divergence;
-  switch (in.u8() % 5) {
+  switch (in.u8() % 6) {
     case 0:
       result.mode = "art9";
       divergence = check_art9_case(in);
@@ -695,9 +774,13 @@ FuzzResult run_fuzz_case(const uint8_t* data, std::size_t size) {
       result.mode = "raw";
       divergence = check_raw_case(in);
       break;
-    default:
+    case 4:
       result.mode = "snapshot";
       divergence = check_snapshot_case(in);
+      break;
+    default:
+      result.mode = "api";
+      divergence = check_api_case(in);
       break;
   }
   if (divergence) {

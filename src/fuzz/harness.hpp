@@ -1,4 +1,4 @@
-// Coverage-guided differential fuzz harness over the 7-engine facade.
+// Coverage-guided differential fuzz harness over the engine facade.
 //
 // One byte string decodes into one differential test case: a mode
 // selector, a generator seed, budget/option bits, and (for the raw mode)
@@ -31,6 +31,12 @@
 //     either throws the precisely named "snapshot: ..." SimError or
 //     accepts a canonical blob — one that re-serializes to its own bytes
 //     (pristine blobs additionally round-trip to the checkpoint state).
+//   * mode 5 — api: a short program as an isa::Program built in code can
+//     hold it — any opcode byte, register, condition or immediate in some
+//     instructions, then HALT — must be rejected at construction by every
+//     ART-9 kind with the same text, or run on every kind exactly as on
+//     lazy (the functional kinds at the budget, the pipeline kinds at
+//     halt).
 //
 // The harness is deliberately libFuzzer-agnostic: fuzz/fuzz_differential.cpp
 // wraps run_fuzz_case as a LLVMFuzzerTestOneInput, and tools/art9_fuzz.cpp
@@ -47,7 +53,7 @@ namespace art9::fuzz {
 /// Outcome of one fuzz case.
 struct FuzzResult {
   bool ok = true;
-  std::string mode;    // oracle ran: "art9", "rv32", "xlat", "raw", "snapshot"
+  std::string mode;    // oracle ran: "art9", "rv32", "xlat", "raw", "snapshot", "api"
   std::string detail;  // divergence description; empty when ok
 };
 

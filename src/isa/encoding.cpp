@@ -17,9 +17,6 @@ int get_level(const Word9& w, std::size_t i) { return w[i].level(); }
 
 /// 2-trit unsigned register index at [lsb+1 : lsb].
 void put_ureg(Word9& w, std::size_t lsb, int reg) {
-  if (reg < 0 || reg >= kNumRegisters) {
-    throw EncodeError("register index out of range: T" + std::to_string(reg));
-  }
   put_level(w, lsb + 1, reg / 3);
   put_level(w, lsb, reg % 3);
 }
@@ -29,12 +26,7 @@ int get_ureg(const Word9& w, std::size_t lsb) {
 }
 
 /// Balanced immediate of `width` trits at [lsb+width-1 : lsb].
-void put_simm(Word9& w, std::size_t lsb, std::size_t width, int value, const OpcodeSpec& s) {
-  if (value < s.imm_min || value > s.imm_max) {
-    throw EncodeError(std::string(s.mnemonic) + ": immediate " + std::to_string(value) +
-                      " outside [" + std::to_string(s.imm_min) + ", " +
-                      std::to_string(s.imm_max) + "]");
-  }
+void put_simm(Word9& w, std::size_t lsb, std::size_t width, int value) {
   int v = value;
   for (std::size_t k = 0; k < width; ++k) {
     int r = v % 3;
@@ -57,11 +49,7 @@ int get_simm(const Word9& w, std::size_t lsb, std::size_t width) {
 }
 
 /// Unsigned 2-trit field (shift amounts).
-void put_ushift(Word9& w, std::size_t lsb, int value, const OpcodeSpec& s) {
-  if (value < s.imm_min || value > s.imm_max) {
-    throw EncodeError(std::string(s.mnemonic) + ": shift amount " + std::to_string(value) +
-                      " outside [0, 8]");
-  }
+void put_ushift(Word9& w, std::size_t lsb, int value) {
   put_level(w, lsb + 1, value / 3);
   put_level(w, lsb, value % 3);
 }
@@ -73,7 +61,29 @@ constexpr int kIshortSli = 3;
 
 }  // namespace
 
+std::optional<FieldViolation> field_violation(const Instruction& inst) {
+  const auto op = static_cast<unsigned>(inst.op);
+  if (op >= static_cast<unsigned>(kNumOpcodes)) {
+    return FieldViolation{"opcode", "opcode " + std::to_string(op)};
+  }
+  const auto violation = [&](std::string_view field) {
+    return FieldViolation{field, to_string(inst)};
+  };
+  const auto is_register = [](int r) { return r >= 0 && r < kNumRegisters; };
+  if (!is_register(inst.ta) || !is_register(inst.tb)) return violation("register");
+  if (inst.bcond.value() < -1 || inst.bcond.value() > 1) return violation("branch condition");
+  const OpcodeSpec& s = spec(inst.op);
+  const bool has_immediate = s.format != Format::kRBinary && s.format != Format::kRUnary;
+  if (has_immediate && (inst.imm < s.imm_min || inst.imm > s.imm_max)) {
+    return violation("immediate");
+  }
+  return std::nullopt;
+}
+
 Word9 encode(const Instruction& inst) {
+  if (const std::optional<FieldViolation> v = field_violation(inst)) {
+    throw EncodeError(std::string(v->field) + " out of range: " + v->text);
+  }
   const OpcodeSpec& s = spec(inst.op);
   Word9 w;  // all-zero trits == all levels 1; every field is overwritten below.
   auto major = [&](int a, int b) {
@@ -106,7 +116,7 @@ Word9 encode(const Instruction& inst) {
       major(0, 0);
       put_level(w, 6, 2);
       put_ureg(w, 4, inst.ta);
-      put_simm(w, 0, 4, inst.imm, s);
+      put_simm(w, 0, 4, inst.imm);
       break;
     case Opcode::kAndi:
     case Opcode::kAddi:
@@ -125,27 +135,27 @@ Word9 encode(const Instruction& inst) {
       put_ureg(w, 3, inst.ta);
       if (s.format == Format::kShiftImm) {
         put_level(w, 2, 1);  // zero pad trit
-        put_ushift(w, 0, inst.imm, s);
+        put_ushift(w, 0, inst.imm);
       } else {
-        put_simm(w, 0, 3, inst.imm, s);
+        put_simm(w, 0, 3, inst.imm);
       }
       break;
     }
     case Opcode::kLi:
       major(0, 2);
       put_ureg(w, 5, inst.ta);
-      put_simm(w, 0, 5, inst.imm, s);
+      put_simm(w, 0, 5, inst.imm);
       break;
     case Opcode::kJal:
       major(1, 0);
       put_ureg(w, 5, inst.ta);
-      put_simm(w, 0, 5, inst.imm, s);
+      put_simm(w, 0, 5, inst.imm);
       break;
     case Opcode::kJalr:
       major(1, 1);
       put_ureg(w, 5, inst.ta);
       put_ureg(w, 3, inst.tb);
-      put_simm(w, 0, 3, inst.imm, s);
+      put_simm(w, 0, 3, inst.imm);
       break;
     case Opcode::kBeq:
     case Opcode::kBne:
@@ -156,7 +166,7 @@ Word9 encode(const Instruction& inst) {
       }
       put_ureg(w, 5, inst.tb);
       w.set(4, inst.bcond);
-      put_simm(w, 0, 4, inst.imm, s);
+      put_simm(w, 0, 4, inst.imm);
       break;
     case Opcode::kLoad:
     case Opcode::kStore:
@@ -167,7 +177,7 @@ Word9 encode(const Instruction& inst) {
       }
       put_ureg(w, 5, inst.ta);
       put_ureg(w, 3, inst.tb);
-      put_simm(w, 0, 3, inst.imm, s);
+      put_simm(w, 0, 3, inst.imm);
       break;
   }
   return w;

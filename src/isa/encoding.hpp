@@ -27,6 +27,8 @@
 
 #include <optional>
 #include <stdexcept>
+#include <string>
+#include <string_view>
 
 #include "isa/instruction.hpp"
 #include "ternary/word.hpp"
@@ -45,8 +47,23 @@ class EncodeError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// The first field of an instruction with no encoding, and the
+/// instruction as text ("opcode N" for a bad opcode, which to_string
+/// cannot look up).
+struct FieldViolation {
+  std::string_view field;  // "opcode", "register", "branch condition" or "immediate"
+  std::string text;
+};
+
+/// The encoding's field rules, which encode() and sim::check_t9_program
+/// both apply: an opcode of Table I, Ta and Tb in T0..T8 in every format
+/// (the simulators read both), a branch condition that is a trit, and an
+/// immediate in its format's range (R-types carry none).  nullopt when
+/// `inst` encodes.
+[[nodiscard]] std::optional<FieldViolation> field_violation(const Instruction& inst);
+
 /// Encodes one instruction into its 9-trit machine word.
-/// Throws EncodeError on out-of-range register or immediate fields.
+/// Throws EncodeError when a field breaks field_violation's rules.
 [[nodiscard]] ternary::Word9 encode(const Instruction& inst);
 
 /// Decodes one machine word.  Throws DecodeError on invalid patterns

@@ -174,6 +174,12 @@ class Rv32DecodedImage {
   /// lazily on first use (thread-safe); defined in rv32_superblock.cpp.
   [[nodiscard]] const Rv32SuperblockPlan& superblocks() const;
 
+  /// Heap bytes the image holds once its superblock plan is built (built
+  /// here if it is not yet): the rows, the retained program and the plan,
+  /// each allocation charged with allocator overhead — the ImageCache
+  /// charge.  Defined in rv32_superblock.cpp.
+  [[nodiscard]] std::size_t resident_bytes() const;
+
  private:
   Rv32Program program_;
   uint32_t entry_;

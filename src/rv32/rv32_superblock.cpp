@@ -117,6 +117,23 @@ const Rv32SuperblockPlan& Rv32DecodedImage::superblocks() const {
   return *superblocks_;
 }
 
+std::size_t Rv32DecodedImage::resident_bytes() const {
+  const Rv32SuperblockPlan& plan = superblocks();
+  // Per allocation: the allocator's header and rounding, and a
+  // make_shared control block.
+  const auto block = [](std::size_t bytes) { return bytes + 48; };
+  const auto vector = [&](const auto& v) { return block(v.capacity() * sizeof(v[0])); };
+  std::size_t bytes = block(sizeof(*this)) + vector(rows_) + vector(program_.code) +
+                      vector(program_.image) + vector(program_.data) + block(sizeof(plan)) +
+                      vector(plan.blocks) + vector(plan.ops);
+  for (const auto& [name, value] : program_.symbols) {
+    // A tree node (three links and a colour) around the pair, and the
+    // name's own buffer when it outgrows the inline one.
+    bytes += block(4 * sizeof(void*) + sizeof(name) + sizeof(value)) + block(name.capacity());
+  }
+  return bytes;
+}
+
 // ---------------------------------------------------------------------------
 // Rv32SuperblockSimulator.
 // ---------------------------------------------------------------------------

@@ -61,7 +61,7 @@ Built build(ImageFormat format, std::string_view source) {
     }
     case ImageFormat::kRv32Asm: {
       auto image = rv32::decode(rv32::assemble_rv32(source));
-      out.bytes = image->rows() * 64 + source.size();
+      out.bytes = image->resident_bytes();  // builds the plan it charges for
       out.image = sim::EngineImage(std::move(image));
       out.rv32 = true;
       break;

@@ -24,36 +24,17 @@ DispatchKind kind_of(const Instruction& inst) {
   return static_cast<DispatchKind>(static_cast<uint8_t>(inst.op));
 }
 
-// Pre-encodes the immediate operand/result of the four encoding-carrying
-// immediate forms, validating against the opcode's format range (imm3 for
-// ANDI/ADDI, imm4 for LUI, imm5 for LI).  Throws SimError at decode time —
-// previously an unencodable immediate only surfaced when the instruction
-// first *executed*, throwing std::out_of_range mid-run.
-Word9 encode_immediate(const Instruction& inst, int64_t pc) {
-  const isa::OpcodeSpec& s = isa::spec(inst.op);
-  const auto check_range = [&] {
-    if (inst.imm < s.imm_min || inst.imm > s.imm_max) {
-      throw SimError("malformed immediate at address " + std::to_string(pc) + ": " +
-                     isa::to_string(inst));
-    }
-  };
+// The pre-encoded operand/result word of the four immediate forms that
+// carry one (check_t9_program has range-checked every immediate): LI's
+// imm5 fills trits [4:0] and LUI's imm4 trits [8:5], zeros elsewhere.
+Word9 immediate_word(const Instruction& inst) {
   switch (inst.op) {
     case Opcode::kAndi:
     case Opcode::kAddi:
-      check_range();
+    case Opcode::kLi:
       return Word9::from_int(inst.imm);
-    case Opcode::kLui: {
-      check_range();
-      Word9 w;
-      w.insert(5, ternary::Word<4>::from_int(inst.imm));
-      return w;
-    }
-    case Opcode::kLi: {
-      check_range();
-      Word9 w;
-      w.insert(0, ternary::Word<5>::from_int(inst.imm));
-      return w;
-    }
+    case Opcode::kLui:
+      return Word9::from_int(inst.imm * ternary::pow3(5));
     default:
       return Word9{};
   }
@@ -64,10 +45,12 @@ Word9 encode_immediate(const Instruction& inst, int64_t pc) {
 DecodedImage::DecodedImage(const isa::Program& program)
     : program_(program), rows_(static_cast<std::size_t>(TernaryMemory::kRows)) {
   // Reject what would load as a different program up front: an entry or
-  // data word that silently wrapped (the packed kinds place data words
-  // through row_of, which folds any address), or code past the last row,
-  // which would overwrite the first.  It also keeps `entry + i` below
-  // from overflowing.
+  // data word that silently wrapped (data words are placed through
+  // row_of, which folds any address), code past the last row, which would
+  // overwrite the first, or an instruction whose fields the rows below
+  // would narrow or index with (an opcode past the dispatch kinds, a
+  // register past the TRF).  It also keeps `entry + i` below from
+  // overflowing.
   check_t9_program(program);
   // Every row gets its static PC chain so even the trap path reports a
   // meaningful address; code rows additionally get decoded fields.
@@ -93,7 +76,7 @@ DecodedImage::DecodedImage(const isa::Program& program)
     op.taken_pc = static_cast<int16_t>(taken_pc);
     op.taken_row = static_cast<uint16_t>(row_of(taken_pc));
     const bool is_jump = op.kind == DispatchKind::kJal || op.kind == DispatchKind::kJalr;
-    op.word9 = is_jump ? Word9::from_int_wrapped(pc + 1) : encode_immediate(inst, pc);
+    op.word9 = is_jump ? Word9::from_int_wrapped(pc + 1) : immediate_word(inst);
     const ternary::BctWord9 planes = ternary::BctWord9::encode(op.word9);
     op.word_neg = static_cast<uint16_t>(planes.neg_plane());
     op.word_pos = static_cast<uint16_t>(planes.pos_plane());

@@ -109,11 +109,11 @@ class DecodedImage {
  public:
   /// Decodes (and validates) the whole program.  Throws sim::SimError if
   /// the program does not fit the TIM (more than 3^9 instructions, or an
-  /// entry or data word outside the 9-trit range), or if an ANDI/ADDI/
-  /// LUI/LI instruction carries an immediate outside its format's range
-  /// (the four forms whose immediates are pre-encoded into words) — at
-  /// load time, not on first execution.  Other formats' immediates are
-  /// used numerically and are not range-checked here.
+  /// entry or data word outside the 9-trit range), or if any instruction
+  /// has no encoding (an opcode outside Table I, a register field outside
+  /// T0..T8, a branch condition that is not a trit, an immediate outside
+  /// its format's range) — at load time, and whether or not the
+  /// instruction would ever run (check_t9_program).
   explicit DecodedImage(const isa::Program& program);
 
   /// Row access by dense row index (0 .. kRows-1).

@@ -237,9 +237,9 @@ class Engine {
   /// runs each report only their own steps, on every kind).
   /// `stats.halt` is kMaxCycles on budget exhaustion, kHalted
   /// otherwise — for every kind.  This is the
-  /// throughput path: no architectural-state materialization (the packed
-  /// backends' snapshot decode costs a measurable fraction of a short
-  /// run); inspect via state() or use run() when the state is wanted.
+  /// throughput path: no architectural-state materialization (a state()
+  /// copies the whole TDM, a measurable fraction of a short run); inspect
+  /// via state() or use run() when the state is wanted.
   virtual SimStats run_stats(const RunOptions& options = {}) = 0;
 
   /// run_stats() plus a state() snapshot, in one uniform result.
@@ -248,8 +248,9 @@ class Engine {
     return RunResult{state(), stats, stats.halt};
   }
 
-  /// Snapshot of the architectural state.  Packed state — on either
-  /// datapath — is decoded at this boundary.
+  /// Snapshot of the architectural state.  A packed TRF is decoded at
+  /// this boundary; the TDM is one representation on every kind (plane
+  /// rows, sim/memory.hpp) and is copied as it is.
   [[nodiscard]] virtual MachineState state() const = 0;
 
   /// A restorable checkpoint: the architectural state at the next

@@ -104,7 +104,7 @@ FleetSimulator::FleetSimulator(std::shared_ptr<const DecodedImage> image, unsign
   }
   rows_ = image_->rows_data();
   plan_ = &image_->superblocks();
-  stdm_.resize(static_cast<std::size_t>(PackedMemory::kRows));
+  stdm_.resize(static_cast<std::size_t>(TernaryMemory::kRows));
   // Every lane boots with the same image, so data words broadcast.
   for (const isa::DataWord& d : image_->program().data) {
     stdm_[TernaryMemory::row_of(d.address)] = bs::broadcast(BctWord9::encode(d.value));
@@ -437,11 +437,8 @@ ArchState FleetSimulator::unpack_lane(unsigned lane) const {
   for (int i = 0; i < isa::kNumRegisters; ++i) {
     out.trf.write(i, lane_word(i, lane).decode());
   }
-  for (std::size_t r = 0; r < stdm_.size(); ++r) {
-    const BctWord9 w = bs::extract_lane(stdm_[r], lane);
-    if (w == BctWord9{}) continue;  // zero rows match the default
-    out.tdm.poke(static_cast<int64_t>(r) - ternary::Word9::kMaxValue, w.decode());
-  }
+  BctWord9* const rows = out.tdm.data();
+  for (std::size_t r = 0; r < stdm_.size(); ++r) rows[r] = bs::extract_lane(stdm_[r], lane);
   out.tdm.set_counters(mem_reads_[lane], mem_writes_[lane]);
   out.pc = pc(lane);
   return out;
@@ -453,32 +450,11 @@ void FleetSimulator::restore_lane(unsigned lane, const ArchState& state) {
     bs::insert_lane(trf_[static_cast<std::size_t>(i)], lane,
                     BctWord9::encode(state.trf.read(i)));
   }
-  // Clear this lane's bit of every memory row, then poke the snapshot's
-  // nonzero rows back in — other lanes' planes are untouched.
-  const uint32_t bit = 1u << lane;
-  for (bs::SlicedWord9& r : stdm_) {
-    for (unsigned t = 0; t < 9; ++t) {
-      r.neg[t] &= ~bit;
-      r.pos[t] &= ~bit;
-    }
-  }
-  for (int64_t addr = -ternary::Word9::kMaxValue; addr <= ternary::Word9::kMaxValue; ++addr) {
-    const ternary::Word9& w = state.tdm.peek(addr);
-    if (w == ternary::Word9{}) continue;  // zero rows match the default
-    bs::insert_lane(stdm_[TernaryMemory::row_of(addr)], lane, BctWord9::encode(w));
-  }
+  // Row by row into this lane's bits; other lanes' planes are untouched.
+  for (std::size_t r = 0; r < stdm_.size(); ++r) bs::insert_lane(stdm_[r], lane, state.tdm.row(r));
   mem_reads_[lane] = state.tdm.reads();
   mem_writes_[lane] = state.tdm.writes();
   row_[lane] = static_cast<uint32_t>(DecodedImage::row_of(state.pc));
-}
-
-ternary::Word9 FleetSimulator::reg(unsigned lane, int index) const {
-  if (lane >= lanes_) throw std::out_of_range("FleetSimulator::reg: lane out of range");
-  return lane_word(index, lane).decode();
-}
-
-int64_t FleetSimulator::reg_int(unsigned lane, int index) const {
-  return reg(lane, index).to_int();
 }
 
 }  // namespace art9::sim

@@ -96,8 +96,6 @@ class FleetSimulator {
   [[nodiscard]] int64_t pc(unsigned lane = 0) const;
   [[nodiscard]] ArchState unpack_lane(unsigned lane) const;
   void restore_lane(unsigned lane, const ArchState& state);
-  [[nodiscard]] ternary::Word9 reg(unsigned lane, int index) const;
-  [[nodiscard]] int64_t reg_int(unsigned lane, int index) const;
 
  private:
   /// One instruction on `lane` via gather/scatter — packed_step(), the

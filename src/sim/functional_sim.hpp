@@ -78,9 +78,6 @@ class LazyFunctionalSimulator {
   /// (self-modifying code is unsupported by design).
   void restore(const ArchState& state) { state_ = state; }
 
-  [[nodiscard]] const ternary::Word9& reg(int index) const { return state_.trf.read(index); }
-  [[nodiscard]] int64_t reg_int(int index) const { return state_.trf.read(index).to_int(); }
-
  private:
   const isa::Instruction& fetch(int64_t pc) const;
 

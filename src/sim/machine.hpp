@@ -2,9 +2,11 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
+#include "isa/encoding.hpp"
 #include "isa/program.hpp"
 #include "sim/memory.hpp"
 #include "sim/regfile.hpp"
@@ -128,15 +130,25 @@ inline void check_t9_address(int64_t address, const char* what) {
   }
 }
 
-/// Rejects a program that would load as a different one: an entry or data
-/// word outside the 9-trit range, or more instructions than the TIM has
-/// rows (the excess would wrap onto the first rows).
+/// Rejects a program that would load as a different one or holds an
+/// instruction with no encoding: an entry or data word outside the 9-trit
+/// range, more instructions than the TIM has rows (the excess would wrap
+/// onto the first rows), or an instruction isa::field_violation names —
+/// even one that would never run ("malformed immediate at address 6:
+/// ANDI T1, 14").
 inline void check_t9_program(const isa::Program& program) {
   check_t9_address(program.entry, "entry");
   if (program.code.size() > static_cast<std::size_t>(TernaryMemory::kRows)) {
     throw SimError("art9 program of " + std::to_string(program.code.size()) +
                    " instructions exceeds the " + std::to_string(TernaryMemory::kRows) +
                    "-row TIM");
+  }
+  for (std::size_t i = 0; i < program.code.size(); ++i) {
+    if (const std::optional<isa::FieldViolation> v = isa::field_violation(program.code[i])) {
+      const int64_t pc = ArchState::wrap(program.entry + static_cast<int64_t>(i));
+      throw SimError("malformed " + std::string(v->field) + " at address " + std::to_string(pc) +
+                     ": " + v->text);
+    }
   }
   for (const isa::DataWord& d : program.data) check_t9_address(d.address, "data-word");
 }
@@ -149,8 +161,9 @@ inline void check_t9_program(const isa::Program& program) {
   return (row + kRows - entry_row) % kRows;
 }
 
-/// Loads `program` into the TDM and resets `state`.  (The TIM is each
-/// simulator's own; self-modifying code is out of scope by design.)
+/// Checks `program` (check_t9_program), loads it into the TDM and resets
+/// `state`.  (The TIM is each simulator's own; self-modifying code is out
+/// of scope by design.)
 inline void load_data(const isa::Program& program, ArchState& state) {
   check_t9_program(program);
   for (const isa::DataWord& d : program.data) state.tdm.poke(d.address, d.value);

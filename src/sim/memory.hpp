@@ -1,10 +1,16 @@
-// Ternary memory model shared by TIM and TDM.
+// Ternary data memory (TDM) model, the one TDM of every ART-9 kind.
 //
 // The hardware decodes a 9-trit address pattern to one of 3^9 = 19683 rows
 // using the unsigned digit interpretation (paper §II-A).  Software-visible
 // addresses in this repository are balanced values; the bijection is
 // row = balanced + 9841 (mod 19683).  Reads/writes are counted so cycle
 // models and power estimators can charge per-access energy.
+//
+// Rows are binary-coded ternary plane pairs (BctWord9, 18 bits), the
+// encoding the paper's FPGA platform stores (§V-B).  The packed kinds
+// move rows as they are; the reference kinds decode a row at each LOAD
+// and encode one at each STORE.  So every kind holds the same memory, and
+// a state snapshot copies it without a conversion.
 #pragma once
 
 #include <cstdint>
@@ -34,63 +40,34 @@ class TernaryMemory {
     return static_cast<std::size_t>(r);
   }
 
-  [[nodiscard]] const ternary::Word9& read(int64_t balanced_address) {
+  // --- by balanced address, in the reference representation --------------
+
+  /// Counted LOAD: decodes the row.
+  [[nodiscard]] ternary::Word9 read(int64_t balanced_address) {
     ++reads_;
-    return rows_[row_of(balanced_address)];
+    return rows_[row_of(balanced_address)].decode();
   }
 
   /// Read without bumping the access counters (debug/bench inspection).
-  [[nodiscard]] const ternary::Word9& peek(int64_t balanced_address) const {
-    return rows_[row_of(balanced_address)];
+  [[nodiscard]] ternary::Word9 peek(int64_t balanced_address) const {
+    return rows_[row_of(balanced_address)].decode();
   }
 
+  /// Counted STORE: encodes the row.
   void write(int64_t balanced_address, const ternary::Word9& value) {
     ++writes_;
-    rows_[row_of(balanced_address)] = value;
+    rows_[row_of(balanced_address)] = ternary::BctWord9::encode(value);
   }
 
   /// Direct initialisation (program load) — not counted as an access.
   void poke(int64_t balanced_address, const ternary::Word9& value) {
-    rows_[row_of(balanced_address)] = value;
+    rows_[row_of(balanced_address)] = ternary::BctWord9::encode(value);
   }
 
-  [[nodiscard]] uint64_t reads() const noexcept { return reads_; }
-  [[nodiscard]] uint64_t writes() const noexcept { return writes_; }
+  // --- by row index, as plane pairs -------------------------------------
 
-  /// Bit-identical comparison: contents *and* access counters (two equal
-  /// memories are indistinguishable to cycle/power models too).
-  friend bool operator==(const TernaryMemory&, const TernaryMemory&) = default;
-
-  void reset_counters() noexcept { reads_ = writes_ = 0; }
-
-  /// Restores the access counters — used when unpacking a packed-backend
-  /// run into a reference memory for bit-identical comparison.
-  void set_counters(uint64_t reads, uint64_t writes) noexcept {
-    reads_ = reads;
-    writes_ = writes;
-  }
-
- private:
-  std::vector<ternary::Word9> rows_;
-  uint64_t reads_ = 0;
-  uint64_t writes_ = 0;
-};
-
-/// Plane-pair ternary memory: the packed datapath's TDM.  Rows are
-/// BctWord9 plane pairs (18 host bits of payload per row — the same
-/// encoding the paper's FPGA platform stores, §V-B) instead of
-/// std::array<Trit, 9>, so loads/stores move two machine words and never
-/// touch a Trit.  Same row bijection and access accounting as
-/// TernaryMemory; `unpack()` is the inspection-boundary conversion and
-/// reproduces contents *and* counters bit-identically.
-class PackedMemory {
- public:
-  static constexpr int64_t kRows = TernaryMemory::kRows;
-
-  PackedMemory() : rows_(static_cast<std::size_t>(kRows)) {}
-
-  /// Counted read by pre-folded row index (hot loop — the packed simulator
-  /// folds addresses with ternary::packed::row_of).
+  /// Counted read by pre-folded row index (the packed kinds fold addresses
+  /// with ternary::packed::row_of).
   [[nodiscard]] const ternary::BctWord9& read_row(std::size_t row) noexcept {
     ++reads_;
     return rows_[row];
@@ -102,10 +79,8 @@ class PackedMemory {
     rows_[row] = value;
   }
 
-  /// Direct initialisation (program load) — not counted as an access.
-  void poke(int64_t balanced_address, const ternary::BctWord9& value) {
-    rows_[TernaryMemory::row_of(balanced_address)] = value;
-  }
+  /// Uncounted row read — whole-memory walks (comparison, snapshots).
+  [[nodiscard]] const ternary::BctWord9& row(std::size_t r) const noexcept { return rows_[r]; }
 
   /// Hot-loop escape hatch: raw row storage for a register-resident
   /// execute loop.  Callers that bypass read_row/write_row must account
@@ -119,37 +94,16 @@ class PackedMemory {
   [[nodiscard]] uint64_t reads() const noexcept { return reads_; }
   [[nodiscard]] uint64_t writes() const noexcept { return writes_; }
 
-  /// Restores the access counters (snapshot restore re-packs a reference
-  /// memory and must resume its accounting where it left off).
+  /// Restores the access counters (snapshot restore resumes the
+  /// accounting where the snapshot left it).
   void set_counters(uint64_t reads, uint64_t writes) noexcept {
     reads_ = reads;
     writes_ = writes;
   }
 
-  friend bool operator==(const PackedMemory&, const PackedMemory&) = default;
-
-  /// Decodes to the reference representation (contents + counters).
-  [[nodiscard]] TernaryMemory unpack() const {
-    TernaryMemory out;
-    for (std::size_t r = 0; r < rows_.size(); ++r) {
-      if (rows_[r] == ternary::BctWord9{}) continue;  // zero rows match the default
-      out.poke(static_cast<int64_t>(r) - ternary::Word9::kMaxValue, rows_[r].decode());
-    }
-    out.set_counters(reads_, writes_);
-    return out;
-  }
-
-  /// The inverse (snapshot restore): pack(m).unpack() == m.
-  [[nodiscard]] static PackedMemory pack(const TernaryMemory& memory) {
-    PackedMemory out;
-    for (int64_t addr = -ternary::Word9::kMaxValue; addr <= ternary::Word9::kMaxValue; ++addr) {
-      const ternary::Word9& w = memory.peek(addr);
-      if (w == ternary::Word9{}) continue;  // zero rows match the default
-      out.poke(addr, ternary::BctWord9::encode(w));
-    }
-    out.set_counters(memory.reads(), memory.writes());
-    return out;
-  }
+  /// Bit-identical comparison: contents *and* access counters (two equal
+  /// memories are indistinguishable to cycle/power models too).
+  friend bool operator==(const TernaryMemory&, const TernaryMemory&) = default;
 
  private:
   std::vector<ternary::BctWord9> rows_;

@@ -7,13 +7,11 @@ namespace detail {
 
 using Word = PackedPipelineDatapath::Word;
 
-ArchState PackedPipelineDatapath::unpack_state() const {
-  ArchState out;
+ArchState PackedPipelineDatapath::arch_state() const {
+  ArchState out{{}, tdm_, pc_};
   for (int i = 0; i < isa::kNumRegisters; ++i) {
     out.trf.write(i, trf_[static_cast<std::size_t>(i)].decode());
   }
-  out.tdm = tdm_.unpack();
-  out.pc = pc_;
   return out;
 }
 
@@ -21,7 +19,7 @@ void PackedPipelineDatapath::load_state(const ArchState& s) {
   for (int i = 0; i < isa::kNumRegisters; ++i) {
     trf_[static_cast<std::size_t>(i)] = Word::encode(s.trf.read(i));
   }
-  tdm_ = PackedMemory::pack(s.tdm);
+  tdm_ = s.tdm;
   pc_ = s.pc;
 }
 

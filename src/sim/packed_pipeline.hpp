@@ -3,15 +3,15 @@
 //
 // Instantiates the shared detail::PipelineModel (pipeline_model.hpp) with
 // a datapath whose every latched payload is a ternary::BctWord9 plane
-// pair: a packed TRF (nine plane-pair words), a packed TDM
-// (sim::PackedMemory rows, identical access accounting) and the image's
-// rows supplying pre-packed immediates and link words (their `word()`
-// planes — the reference datapath reads the same rows' Word9).
+// pair: a packed TRF (nine plane-pair words), the TDM (sim::TernaryMemory,
+// moved row by row as the plane pairs it stores) and the image's rows
+// supplying pre-packed immediates and link words (their `word()` planes —
+// the reference datapath reads the same rows' Word9).
 // The forwarding muxes, the one-trit condition bypass and the EX TALU
 // (packed_alu.hpp, the cells the superblock tier and the fleet run) all
 // operate on planes — no std::array<Trit, 9> is touched between reset and
-// halt; conversion to the reference representation happens only at the
-// inspection boundary (state(), reg()).
+// halt; only the nine registers are decoded at the inspection boundary
+// (state()).
 //
 // Because the HDU/stall/squash logic is the *same template* the reference
 // PipelineSimulator runs, cycle counts, stall/squash/prediction
@@ -35,16 +35,14 @@
 namespace art9::sim {
 namespace detail {
 
-/// Packed datapath policy: BctWord9 latched payloads, a packed TRF and
-/// PackedMemory TDM, and the branchless plane/table TALU.
+/// Packed datapath policy: BctWord9 latched payloads, a packed TRF, the
+/// TernaryMemory TDM, and the branchless plane/table TALU.
 class PackedPipelineDatapath {
  public:
   using Word = ternary::BctWord9;
 
   explicit PackedPipelineDatapath(const DecodedImage& image) {
-    for (const isa::DataWord& d : image.program().data) {
-      tdm_.poke(d.address, ternary::BctWord9::encode(d.value));
-    }
+    for (const isa::DataWord& d : image.program().data) tdm_.poke(d.address, d.value);
     pc_ = image.program().entry;
   }
 
@@ -81,24 +79,15 @@ class PackedPipelineDatapath {
     return packed_jalr_target(base, imm);
   }
 
-  /// Inspection-boundary conversion: decode the packed state into the
-  /// reference representation (registers, TDM contents + counters, PC).
-  [[nodiscard]] ArchState unpack_state() const;
-
-  /// Snapshot/restore seam (PipelineModel::checkpoint/restore_state).
-  /// load_state re-packs a reference-representation state; an exact
-  /// round trip of unpack_state, access counters included.
-  [[nodiscard]] ArchState arch_state() const { return unpack_state(); }
+  /// Snapshot/restore seam (PipelineModel::checkpoint/restore_state):
+  /// the registers decoded and the TDM copied as it is (contents and
+  /// counters), and the exact inverse.
+  [[nodiscard]] ArchState arch_state() const;
   void load_state(const ArchState& s);
-
-  /// Raw packed register (tests, tracing hooks).
-  [[nodiscard]] const Word& reg_packed(int index) const {
-    return trf_[static_cast<std::size_t>(index)];
-  }
 
  private:
   std::array<Word, isa::kNumRegisters> trf_{};
-  PackedMemory tdm_;
+  TernaryMemory tdm_;
   int64_t pc_ = 0;
 };
 
@@ -113,17 +102,9 @@ class PackedPipelineSimulator : public detail::PipelineModel<detail::PackedPipel
   explicit PackedPipelineSimulator(std::shared_ptr<const DecodedImage> image,
                                    PipelineConfig config = {});
 
-  /// Architectural snapshot, decoded at this boundary (registers, TDM
-  /// contents + access counters, PC).
-  [[nodiscard]] ArchState state() const { return datapath().unpack_state(); }
-
-  /// Convenience accessors (decode on access).
-  [[nodiscard]] ternary::Word9 reg(int index) const {
-    return datapath().reg_packed(index).decode();
-  }
-  [[nodiscard]] int64_t reg_int(int index) const {
-    return ternary::packed::to_int(datapath().reg_packed(index));
-  }
+  /// Architectural snapshot (registers, TDM contents + access counters,
+  /// PC).
+  [[nodiscard]] ArchState state() const { return datapath().arch_state(); }
 };
 
 }  // namespace art9::sim

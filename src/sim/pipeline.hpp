@@ -20,7 +20,8 @@
 // The control logic (latches, HDU, forwarding selects, squash/stall
 // accounting) lives in the shared detail::PipelineModel template
 // (pipeline_model.hpp); this header instantiates it with the *reference
-// datapath* — ternary::Word9 payloads over RegFile/TernaryMemory, the
+// datapath* — ternary::Word9 payloads over the RegFile and the
+// TernaryMemory (a row decoded at each LOAD, encoded at each STORE), the
 // golden cycle-accurate model.  packed_pipeline.hpp instantiates the same
 // control logic over plane-packed words.
 #pragma once

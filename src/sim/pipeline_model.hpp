@@ -13,8 +13,9 @@
 //    over the reference RegFile/TernaryMemory; the golden cycle-accurate
 //    model;
 //  * PackedPipelineDatapath (packed_pipeline.hpp) — plane-packed
-//    ternary::BctWord9 payloads over a packed TRF and PackedMemory, every
-//    EX evaluation a handful of branchless plane/table operations.
+//    ternary::BctWord9 payloads over a packed TRF and the same
+//    TernaryMemory rows, every EX evaluation a handful of branchless
+//    plane/table operations.
 //
 // Because the control logic is shared *by construction*, both
 // instantiations produce bit-identical cycle, stall, squash and

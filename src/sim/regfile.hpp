@@ -4,7 +4,6 @@
 
 #include <array>
 #include <cstdint>
-#include <stdexcept>
 
 #include "isa/instruction.hpp"
 #include "ternary/word.hpp"
@@ -13,11 +12,15 @@ namespace art9::sim {
 
 class RegFile {
  public:
+  // Program load rejects register fields outside T0..T8
+  // (check_t9_program); at() keeps any other misuse loud.
   [[nodiscard]] const ternary::Word9& read(int index) const {
-    return regs_.at(check(index));
+    return regs_.at(static_cast<std::size_t>(index));
   }
 
-  void write(int index, const ternary::Word9& value) { regs_.at(check(index)) = value; }
+  void write(int index, const ternary::Word9& value) {
+    regs_.at(static_cast<std::size_t>(index)) = value;
+  }
 
   [[nodiscard]] const std::array<ternary::Word9, isa::kNumRegisters>& all() const noexcept {
     return regs_;
@@ -26,13 +29,6 @@ class RegFile {
   friend bool operator==(const RegFile&, const RegFile&) = default;
 
  private:
-  static std::size_t check(int index) {
-    if (index < 0 || index >= isa::kNumRegisters) {
-      throw std::out_of_range("TRF index out of range: " + std::to_string(index));
-    }
-    return static_cast<std::size_t>(index);
-  }
-
   std::array<ternary::Word9, isa::kNumRegisters> regs_{};
 };
 

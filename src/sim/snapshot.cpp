@@ -5,6 +5,8 @@
 #include <string>
 #include <type_traits>
 
+#include "ternary/packed.hpp"
+
 namespace art9::sim {
 
 uint64_t fnv1a_64(const void* data, std::size_t size, uint64_t hash) noexcept {
@@ -137,11 +139,11 @@ void put_art9(std::vector<uint8_t>& out, const ArchState& s) {
   const std::size_t count_at = out.size();
   put(out, uint32_t{0});
   uint32_t rows = 0;
-  for (int64_t row = 0; row < TernaryMemory::kRows; ++row) {
-    const ternary::Word9& w = s.tdm.peek(row - ternary::Word9::kMaxValue);
-    if (w == ternary::Word9{}) continue;
+  for (std::size_t row = 0; row < static_cast<std::size_t>(TernaryMemory::kRows); ++row) {
+    const ternary::BctWord9& w = s.tdm.row(row);
+    if (w == ternary::BctWord9{}) continue;
     put(out, static_cast<uint32_t>(row));
-    put(out, static_cast<int16_t>(w.to_int()));
+    put(out, static_cast<int16_t>(ternary::packed::to_int(w)));
     ++rows;
   }
   patch_u32(out, count_at, rows);

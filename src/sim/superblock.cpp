@@ -198,9 +198,7 @@ SuperblockSimulator::SuperblockSimulator(const isa::Program& program)
 
 SuperblockSimulator::SuperblockSimulator(std::shared_ptr<const DecodedImage> image)
     : image_(std::move(image)), rows_(image_->rows_data()), plan_(&image_->superblocks()) {
-  for (const isa::DataWord& d : image_->program().data) {
-    tdm_.poke(d.address, BctWord9::encode(d.value));
-  }
+  for (const isa::DataWord& d : image_->program().data) tdm_.poke(d.address, d.value);
   row_ = static_cast<uint32_t>(DecodedImage::row_of(image_->program().entry));
 }
 
@@ -209,7 +207,7 @@ SuperblockSimulator::SuperblockSimulator(std::shared_ptr<const DecodedImage> ima
 bool SuperblockSimulator::step() {
   struct Machine {
     BctWord9* trf;
-    PackedMemory& tdm;
+    TernaryMemory& tdm;
     [[nodiscard]] BctWord9 reg(unsigned r) const { return trf[r]; }
     void set_reg(unsigned r, const BctWord9& v) { trf[r] = v; }
     void load(unsigned r, std::size_t row) { trf[r] = tdm.read_row(row); }
@@ -373,12 +371,10 @@ uint64_t SuperblockSimulator::run_blocks(uint64_t, bool&) { return 0; }
 #endif  // ART9_SB_THREADED_DISPATCH
 
 ArchState SuperblockSimulator::state() const {
-  ArchState out;
+  ArchState out{{}, tdm_, pc()};
   for (int i = 0; i < isa::kNumRegisters; ++i) {
     out.trf.write(i, trf_[static_cast<std::size_t>(i)].decode());
   }
-  out.tdm = tdm_.unpack();
-  out.pc = pc();
   return out;
 }
 
@@ -386,7 +382,7 @@ void SuperblockSimulator::restore(const ArchState& state) {
   for (int i = 0; i < isa::kNumRegisters; ++i) {
     trf_[static_cast<std::size_t>(i)] = BctWord9::encode(state.trf.read(i));
   }
-  tdm_ = PackedMemory::pack(state.tdm);
+  tdm_ = state.tdm;
   row_ = static_cast<uint32_t>(DecodedImage::row_of(state.pc));
 }
 

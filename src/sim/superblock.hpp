@@ -2,8 +2,9 @@
 // (EngineKind::kSuperblock, and kPacked under its historical name).
 //
 // State is the plane-packed SWAR datapath: a packed TRF (nine BctWord9),
-// a packed TDM (sim::PackedMemory) and the image's dispatch rows, read
-// through their pre-packed immediate and link planes.  An instruction-at-
+// the TDM (sim::TernaryMemory, whose rows are plane pairs already) and
+// the image's dispatch rows, read through their pre-packed immediate and
+// link planes.  An instruction-at-
 // a-time loop over those rows would still pay per *instruction*: one
 // budget check, one row chase, one retire increment and (for memory ops)
 // one counter bump per step.  The superblock tier translates the decoded image once
@@ -149,7 +150,7 @@ struct SuperblockPlan {
   uint32_t fused_load_op = 0;
 };
 
-/// The superblock execution backend: packed TRF + packed TDM, executed by
+/// The superblock execution backend: packed TRF + BCT-row TDM, executed by
 /// the block-chained loop with packed_step() (packed_alu.hpp) as the
 /// per-instruction path.  Bit-identical to the golden model in state
 /// (registers, TDM contents *and* access counters, PC) and SimStats —
@@ -184,9 +185,8 @@ class SuperblockSimulator {
   /// The shared block translation (tests, introspection).
   [[nodiscard]] const SuperblockPlan& plan() const noexcept { return *plan_; }
 
-  /// Inspection-boundary conversions: decode the packed state into the
-  /// reference representation (registers, TDM contents + counters, PC),
-  /// and re-pack one (snapshot restore).  restore(state()) is an exact
+  /// The architectural state (registers decoded, the TDM copied as it
+  /// is, PC), and its snapshot restore.  restore(state()) is an exact
   /// round trip, access counters included.
   [[nodiscard]] ArchState state() const;
   void restore(const ArchState& state);
@@ -211,7 +211,7 @@ class SuperblockSimulator {
   const PackedOp* rows_;         // the image's row table (slow path / pc recovery)
   const SuperblockPlan* plan_;   // the image's block translation
   std::array<ternary::BctWord9, isa::kNumRegisters> trf_{};
-  PackedMemory tdm_;
+  TernaryMemory tdm_;
   uint32_t row_ = 0;  // current fetch row (the PC derives from it)
 };
 

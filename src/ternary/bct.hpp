@@ -14,12 +14,20 @@
 // asserted exhaustively in tests/ternary/bct_test.cpp.
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <stdexcept>
 
 #include "ternary/word.hpp"
 
 namespace art9::ternary {
+
+// The codec below reads and writes a Word9 as nine trit bytes, the first
+// eight as one little-endian 64-bit word.
+static_assert(sizeof(Word9) == 9 && std::endian::native == std::endian::little,
+              "the BctWord9 codec needs one-byte trits on a little-endian host");
 
 /// A 9-trit word in binary-coded ternary form (two 9-bit planes).
 class BctWord9 {
@@ -50,27 +58,30 @@ class BctWord9 {
     return w;
   }
 
-  /// Encodes a ternary word.
-  static constexpr BctWord9 encode(const Word9& w) noexcept {
+  /// Encodes a ternary word, branch-free.  A Word9 is nine one-byte
+  /// trits (0x01, 0x00 or 0xFF), so trits 0..7 load as one 64-bit word:
+  /// bit 0 of a byte marks a non-zero trit and bit 7 a -1, and one
+  /// multiply gathers those byte bits into a plane.
+  static BctWord9 encode(const Word9& w) noexcept {
+    uint64_t lo = 0;
+    std::memcpy(&lo, &w, sizeof lo);
+    const uint64_t neg = (lo >> 7) & kByteLsb;
+    const int top = w[8].value();
     BctWord9 out;
-    for (std::size_t i = 0; i < kTrits; ++i) {
-      if (w[i] == kTritP) out.pos_ |= 1u << i;
-      if (w[i] == kTritN) out.neg_ |= 1u << i;
-    }
+    out.neg_ = gather(neg) | static_cast<uint32_t>(top < 0) << 8;
+    out.pos_ = gather((lo & kByteLsb) ^ neg) | static_cast<uint32_t>(top > 0) << 8;
     return out;
   }
 
-  /// Decodes back to the reference representation.
-  [[nodiscard]] constexpr Word9 decode() const noexcept {
-    Word9 out;
-    for (std::size_t i = 0; i < kTrits; ++i) {
-      if (pos_ & (1u << i)) {
-        out.set(i, kTritP);
-      } else if (neg_ & (1u << i)) {
-        out.set(i, kTritN);
-      }
-    }
-    return out;
+  /// Decodes back to the reference representation, branch-free: each
+  /// plane's low eight bits spread to one byte per trit, and a -1 byte is
+  /// the NEG spread times 0xFF.
+  [[nodiscard]] Word9 decode() const noexcept {
+    const uint64_t lo = spread(pos_) | spread(neg_) * 0xFF;
+    std::array<uint8_t, kTrits> bytes;
+    std::memcpy(bytes.data(), &lo, sizeof lo);
+    bytes[8] = static_cast<uint8_t>(((pos_ >> 8) & 1u) - ((neg_ >> 8) & 1u));
+    return std::bit_cast<Word9>(bytes);
   }
 
   [[nodiscard]] constexpr uint32_t neg_plane() const noexcept { return neg_; }
@@ -164,6 +175,22 @@ class BctWord9 {
   [[nodiscard]] static BctWord9 add(const BctWord9& a, const BctWord9& b) noexcept;
 
  private:
+  static constexpr uint64_t kByteLsb = 0x0101010101010101ull;
+
+  /// Bit 0 of byte i -> bit i (every other bit of `bytes` clear): the
+  /// partial products of one multiply land disjointly, bytes 0..7 in the
+  /// top byte.
+  static constexpr uint32_t gather(uint64_t bytes) noexcept {
+    return static_cast<uint32_t>((bytes * 0x0102040810204080ull) >> 56);
+  }
+
+  /// Bit i of `plane` (i < 8) -> bit 0 of byte i: replicate the low byte,
+  /// keep bit i in byte i, and carry any set bit up to bit 7 of its byte.
+  static constexpr uint64_t spread(uint32_t plane) noexcept {
+    const uint64_t bits = ((plane & 0xFFu) * kByteLsb) & 0x8040201008040201ull;
+    return ((bits + 0x7F7F7F7F7F7F7F7Full) >> 7) & kByteLsb;
+  }
+
   uint32_t neg_ = 0;
   uint32_t pos_ = 0;
 };

@@ -8,10 +8,12 @@ char Trit::to_char() const noexcept {
   switch (value_) {
     case -1:
       return '-';
+    case 0:
+      return '0';
     case +1:
       return '+';
     default:
-      return '0';
+      return '?';  // a value outside {-1, 0, +1} (unchecked construction)
   }
 }
 

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -30,6 +31,19 @@ std::vector<uint8_t> rv32_sparse_violation(uint8_t pick) {
   for (int b = 0; b < 8; ++b) bytes.push_back(static_cast<uint8_t>(12239131130605509653ull >> (8 * b)));
   for (const uint8_t tail : {uint8_t{54}, uint8_t{0}, uint8_t{7}, pick, uint8_t{0}}) {
     bytes.push_back(tail);
+  }
+  return bytes;
+}
+
+/// An api-mode case (see check_api_case) of `{bad; ADDI T1, 1; HALT}`,
+/// plus the mode's closing HALT, at budget 512, `bad` given as its field
+/// pick and field bytes.
+std::vector<uint8_t> api_probe(std::initializer_list<uint8_t> bad) {
+  std::vector<uint8_t> bytes = {5, 2, 0xFF, 0x01};  // api, 3 instructions, budget 512
+  for (const uint8_t b : bad) bytes.push_back(b);
+  for (const uint8_t b : {5, 13, 1, 0, 1, 14, 0,     // ADDI T1, 1 (imm 14 folds to 1)
+                          5, 20, 0, 0, 1, 121, 0}) {  // JAL T0, 0: HALT (121 folds to 0)
+    bytes.push_back(b);
   }
   return bytes;
 }
@@ -77,6 +91,24 @@ const std::vector<std::pair<std::string, std::vector<uint8_t>>>& fixed_corpus() 
       // kind 0, strategy 7, then the violation pick and entry index.
       {"snapshot v2: zeroed rv32 RAM chunk", rv32_sparse_violation(1)},
       {"snapshot v2: repeated rv32 RAM chunk", rv32_sparse_violation(3)},
+      // Programs built in code with an instruction that has no encoding.
+      // Before the program check rejected them at load, the packed kinds
+      // aborted or died with SIGSEGV on the first two opcodes and on T9,
+      // the pre-decoded kinds halted (24) or trapped (25) where lazy ran
+      // a no-op, the kinds disagreed on T12 and T-1, and the rest ran on
+      // every kind.  Field picks: 0 opcode, 1 Ta, 2 Tb, 4 immediate.
+      {"api: opcode 40", api_probe({0, 40, 1, 0, 1, 0, 0})},
+      {"api: opcode 200", api_probe({0, 200, 1, 0, 1, 0, 0})},
+      {"api: opcode 24 (the halt kind)", api_probe({0, 24, 1, 0, 1, 0, 0})},
+      {"api: opcode 25 (the invalid-row kind)", api_probe({0, 25, 1, 0, 1, 0, 0})},
+      {"api: ADDI T9, 1", api_probe({1, 13, 9, 0, 1, 14, 0})},
+      {"api: ADD T1, T12", api_probe({2, 7, 1, 12, 1})},
+      {"api: ADD T-1, T1", api_probe({1, 7, 0xFF, 1, 1})},
+      {"api: SRI T1, 20", api_probe({4, 14, 1, 0, 1, 20, 0})},
+      {"api: SLI T1, -3", api_probe({4, 15, 1, 0, 1, 0xFD, 0xFF})},
+      {"api: BEQ T1, 0, 500", api_probe({4, 18, 0, 1, 1, 0xF4, 0x01})},
+      {"api: LOAD T1, 900(T2)", api_probe({4, 22, 1, 2, 1, 0x84, 0x03})},
+      {"api: JALR T1, T2, 700", api_probe({4, 21, 1, 2, 1, 0xBC, 0x02})},
   };
   return kCorpus;
 }
@@ -90,7 +122,7 @@ TEST(FuzzHarness, FixedCorpusStaysGreen) {
 
 TEST(FuzzHarness, SeededSweepFindsNoDivergence) {
   // The same inputs `art9-fuzz --seed 1 --runs 64` replays: a cheap,
-  // fully deterministic slice across all five oracle modes.
+  // fully deterministic slice across all six oracle modes.
   for (uint64_t index = 0; index < 64; ++index) {
     const std::vector<uint8_t> input = seeded_input(1, index);
     const FuzzResult result = run_fuzz_case(input.data(), input.size());
@@ -101,9 +133,9 @@ TEST(FuzzHarness, SeededSweepFindsNoDivergence) {
 
 TEST(FuzzHarness, EveryModeRunsOnForcedSelector) {
   // Pinning the mode byte (what art9-fuzz --mode does) reaches each
-  // oracle; all five stay green on a handful of seeded inputs.
-  const std::vector<std::string> modes = {"art9", "rv32", "xlat", "raw", "snapshot"};
-  for (uint8_t mode = 0; mode < 5; ++mode) {
+  // oracle; all six stay green on a handful of seeded inputs.
+  const std::vector<std::string> modes = {"art9", "rv32", "xlat", "raw", "snapshot", "api"};
+  for (uint8_t mode = 0; mode < 6; ++mode) {
     for (uint64_t index = 0; index < 8; ++index) {
       std::vector<uint8_t> input = seeded_input(7, index);
       input[0] = mode;

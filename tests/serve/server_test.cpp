@@ -10,9 +10,18 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <random>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
+#include "core/benchmarks.hpp"
+#include "core/progen.hpp"
 #include "isa/assembler.hpp"
 #include "rv32/rv32_assembler.hpp"
 #include "serve/json.hpp"
@@ -501,6 +510,35 @@ TEST(ImageCache, LruEvictionAgainstTheByteBudget) {
   const ImageCache::Put again = cache.put(ImageFormat::kArt9Asm, "LIMM T1, 1\nHALT\n");
   EXPECT_FALSE(again.hit);
   EXPECT_EQ(again.id, a.id);  // content hash is stable
+}
+
+TEST(ImageCache, Rv32ChargeCoversTheHeapTheImageHolds) {
+  // Regression: an rv32 image was charged `rows * 64 + source` bytes, a
+  // fifth to two thirds of what it holds once its superblock plan is
+  // built, so the byte budget bounded the cache only to within 1.5-5x.
+  // The charge must cover the heap that decoding the program and
+  // building its plan allocate (glibc's count of bytes in use).
+#if defined(__GLIBC__)
+  std::mt19937_64 rng(11);
+  core::Rv32GenOptions large;
+  large.min_length = 200;
+  large.max_length = 400;
+  std::vector<std::pair<std::string, std::string>> sources;
+  for (const core::BenchmarkSources* b : core::all_benchmarks()) sources.emplace_back(b->name, b->rv32);
+  sources.emplace_back("generated", core::generate_rv32_source(rng, large));
+  for (const auto& [name, source] : sources) {
+    const rv32::Rv32Program program = rv32::assemble_rv32(source);
+    const std::size_t before = mallinfo2().uordblks;
+    const std::shared_ptr<const rv32::Rv32DecodedImage> image = rv32::decode(program);
+    static_cast<void>(image->superblocks());
+    const std::size_t held = mallinfo2().uordblks - before;
+    ImageCache cache;
+    static_cast<void>(cache.put(ImageFormat::kRv32Asm, source));
+    EXPECT_GE(cache.stats().bytes, held) << name;
+  }
+#else
+  GTEST_SKIP() << "the heap count comes from glibc's mallinfo2";
+#endif
 }
 
 }  // namespace

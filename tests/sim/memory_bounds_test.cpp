@@ -4,12 +4,15 @@
 // overflow while folding them and program load must reject out-of-range
 // entries/data words with a SimError naming the faulting address (mirrors
 // tests/rv32/rv32_sim_test.cpp's OutOfRangeAccessRaisesWithFaultingAddress),
-// and a program with more instructions than the TIM has rows.
+// a program with more instructions than the TIM has rows, and a program
+// holding an instruction that has no encoding.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "sim/decoded_image.hpp"
 #include "sim/engine.hpp"
@@ -42,14 +45,14 @@ TEST(MemoryBounds, RowOfIsPeriodicAtTheExtremes) {
   }
 }
 
-TEST(MemoryBounds, ExtremeAddressRoundTripsThroughBothMemories) {
+TEST(MemoryBounds, ExtremeAddressesRoundTripThroughTheMemory) {
   const auto w = ternary::Word9::from_int(-777);
-  TernaryMemory tdm;
-  tdm.poke(std::numeric_limits<int64_t>::max(), w);
-  EXPECT_EQ(tdm.peek(std::numeric_limits<int64_t>::max()).to_int(), -777);
-  PackedMemory packed;
-  packed.poke(std::numeric_limits<int64_t>::min(), ternary::BctWord9::encode(w));
-  EXPECT_EQ(packed.unpack().peek(std::numeric_limits<int64_t>::min()).to_int(), -777);
+  for (const int64_t address :
+       {std::numeric_limits<int64_t>::max(), std::numeric_limits<int64_t>::min()}) {
+    TernaryMemory tdm;
+    tdm.poke(address, w);
+    EXPECT_EQ(tdm.peek(address).to_int(), -777) << address;
+  }
 }
 
 TEST(MemoryBounds, LoadRejectsOutOfRangeEntryNamingAddress) {
@@ -143,6 +146,59 @@ TEST(MemoryBounds, ProgramFillingTheTimRunsOnEveryKind) {
     EXPECT_EQ(r.stats.instructions, static_cast<uint64_t>(TernaryMemory::kRows - 1))
         << engine_kind_name(kind);
     EXPECT_EQ(r.state.art9().trf.read(1).to_int(), 7) << engine_kind_name(kind);
+  }
+}
+
+/// The SimError text `build` throws, or "" when it throws none.
+template <class Build>
+std::string sim_error_of(Build&& build) {
+  try {
+    build();
+  } catch (const SimError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+isa::Instruction raw(int op, int ta, int tb, int imm) {
+  return isa::Instruction{static_cast<isa::Opcode>(op), ta, tb, ternary::kTritZ, imm};
+}
+
+TEST(MemoryBounds, MalformedInstructionsAreRejectedAtDecodeByEveryKind) {
+  // Regression: an isa::Program built in code (not assembled) could hold
+  // instructions with no encoding.  The packed kinds crashed on some of
+  // them (free(): invalid pointer, SIGSEGV), the kinds disagreed on
+  // others, and the rest ran although nothing could have encoded them.
+  // Each now fails at load on every kind with the same text, although
+  // the bad instruction, first in `{bad; ADDI T1, 1; HALT}`, never needs
+  // to run for the check to fire.
+  using isa::Opcode;
+  const std::vector<std::pair<isa::Instruction, std::string>> cases = {
+      {raw(40, 1, 0, 0), "malformed opcode at address 5: opcode 40"},
+      {raw(200, 1, 0, 0), "malformed opcode at address 5: opcode 200"},
+      {raw(24, 1, 0, 0), "malformed opcode at address 5: opcode 24"},  // the kHalt kind
+      {raw(25, 1, 0, 0), "malformed opcode at address 5: opcode 25"},  // the kInvalid kind
+      {raw(13, 9, 0, 1), "malformed register at address 5: ADDI T9, 1"},
+      {raw(7, 1, 12, 0), "malformed register at address 5: ADD T1, T12"},
+      {raw(7, -1, 1, 0), "malformed register at address 5: ADD T-1, T1"},
+      {raw(14, 1, 0, 20), "malformed immediate at address 5: SRI T1, 20"},
+      {raw(15, 1, 0, -3), "malformed immediate at address 5: SLI T1, -3"},
+      {raw(18, 0, 1, 500), "malformed immediate at address 5: BEQ T1, 0, 500"},
+      {raw(22, 1, 2, 900), "malformed immediate at address 5: LOAD T1, 900(T2)"},
+      {raw(21, 1, 2, 700), "malformed immediate at address 5: JALR T1, T2, 700"},
+  };
+  for (const auto& [bad, error] : cases) {
+    isa::Program program;
+    program.entry = 5;
+    program.code = {bad, isa::Instruction{Opcode::kAddi, 1, 0, ternary::kTritZ, 1},
+                    isa::Instruction::halt()};
+    EXPECT_EQ(sim_error_of([&] { static_cast<void>(decode(program)); }), error);
+    for (EngineKind kind : art9_engine_kinds()) {
+      EXPECT_EQ(sim_error_of([&] { static_cast<void>(make_engine(kind, decode(program))); }),
+                error)
+          << engine_kind_name(kind);
+    }
+    EXPECT_EQ(sim_error_of([&] { LazyFunctionalSimulator sim(program); }), error);
   }
 }
 

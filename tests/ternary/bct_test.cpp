@@ -21,6 +21,17 @@ TEST(Bct, EncodeDecodeRoundTripExhaustive) {
   for (int64_t v = Word9::kMinValue; v <= Word9::kMaxValue; ++v) {
     const Word9 w = Word9::from_int(v);
     EXPECT_EQ(BctWord9::encode(w).decode(), w);
+    // Each half on its own, against planes built trit by trit: encode
+    // sets exactly each trit's plane bit, and decode reads it back.
+    uint32_t neg = 0;
+    uint32_t pos = 0;
+    for (std::size_t i = 0; i < 9; ++i) {
+      neg |= static_cast<uint32_t>(w[i].value() < 0) << i;
+      pos |= static_cast<uint32_t>(w[i].value() > 0) << i;
+    }
+    const BctWord9 planes = BctWord9::from_planes(neg, pos);
+    EXPECT_EQ(BctWord9::encode(w), planes) << v;
+    EXPECT_EQ(planes.decode(), w) << v;
   }
 }
 

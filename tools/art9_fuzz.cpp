@@ -1,10 +1,10 @@
 // art9-fuzz — the libFuzzer-free driver for the differential fuzz
-// harness (src/fuzz/harness.hpp): runs the same five oracles the
+// harness (src/fuzz/harness.hpp): runs the same six oracles the
 // coverage-guided fuzz_differential target runs, but from a portable
 // seeded RNG — the deterministic CI smoke path — or by replaying saved
 // input files (libFuzzer crash artifacts, minimized repros).
 //
-//   art9-fuzz [--seed N] [--runs N] [--mode art9|rv32|xlat|raw|snapshot]
+//   art9-fuzz [--seed N] [--runs N] [--mode art9|rv32|xlat|raw|snapshot|api]
 //             [--artifact-dir DIR] [--quiet]
 //   art9-fuzz <input-file>...
 //
@@ -26,7 +26,7 @@ namespace {
 int usage() {
   std::fprintf(stderr,
                "usage: art9-fuzz [--seed N] [--runs N]\n"
-               "                 [--mode art9|rv32|xlat|raw|snapshot]\n"
+               "                 [--mode art9|rv32|xlat|raw|snapshot|api]\n"
                "                 [--artifact-dir DIR] [--quiet]\n"
                "       art9-fuzz <input-file>...\n"
                "Runs the differential fuzz harness from a seeded RNG (default seed 1,\n"
@@ -41,6 +41,7 @@ int mode_index(const std::string& name) {
   if (name == "xlat") return 2;
   if (name == "raw") return 3;
   if (name == "snapshot") return 4;
+  if (name == "api") return 5;
   return -1;
 }
 
@@ -110,7 +111,7 @@ int main(int argc, char** argv) {
   uint64_t failures = 0;
   for (uint64_t i = 0; i < runs; ++i) {
     std::vector<uint8_t> input = art9::fuzz::seeded_input(seed, i);
-    // The mode selector is the first input byte (taken modulo 5).
+    // The mode selector is the first input byte (taken modulo 6).
     if (forced_mode >= 0 && !input.empty()) input[0] = static_cast<uint8_t>(forced_mode);
     const art9::fuzz::FuzzResult result = art9::fuzz::run_fuzz_case(input.data(), input.size());
     if (result.ok) continue;
