@@ -4,6 +4,10 @@
 #include <cstdlib>
 #include <utility>
 
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
 #include "serve/json.hpp"
 #include "sim/snapshot.hpp"
 
@@ -136,6 +140,12 @@ SimulationServer::SimulationServer(Options options)
 }
 
 SimulationServer::~SimulationServer() { stop(); }
+
+SimulationServer::HeapTrim::~HeapTrim() {
+#ifdef __GLIBC__
+  malloc_trim(0);
+#endif
+}
 
 void SimulationServer::start() { http_->start(); }
 

@@ -124,6 +124,17 @@ class SimulationServer {
   /// and it is still pending); nullopt for an unknown id.
   [[nodiscard]] std::optional<std::string> job_body(uint64_t id, bool cancel);
 
+  /// Declared first, so destroyed last: once the cache, the job records
+  /// and the service are gone, hands the pages glibc keeps for them in
+  /// its per-thread arenas back to the OS (malloc_trim).  Without it a
+  /// process that runs server after server holds a residue of freed
+  /// images and machine states that grows by a different amount each run.
+  struct HeapTrim {
+    HeapTrim() = default;
+    HeapTrim(const HeapTrim&) = delete;
+    HeapTrim& operator=(const HeapTrim&) = delete;
+    ~HeapTrim();
+  } heap_trim_;
   Options options_;
   ImageCache cache_;
 
